@@ -220,6 +220,7 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
             "T": T, "replications": cfg.replications,
             "n_rejected": sim["n_rejected"],
             "mc_mean": mean, "mc_se": se, "theory_mean": theory,
+            **sim["sampler"].diagnostics,
         }
         if se is None:
             row["pass"] = None
@@ -261,7 +262,7 @@ def run_variance(cfg: ExperimentConfig) -> dict:
             "n_rejected": sim["n_rejected"],
             "var_rate": var_rate, "ci99_lo": lo, "ci99_hi": hi,
             "v_T_general": gen.v_t, "v_T_general_err": gen.v_t_err,
-            "reference": ref,
+            "reference": ref, **sim["sampler"].diagnostics,
         }
         if var_rate is not None and ref is not None:
             half = (hi - lo) / 2.0
@@ -334,6 +335,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
             "kurtosis": kurt, "kurtosis_se": math.sqrt(24.0 / m),
             "standardized_sample": [float(v) for v in std_sample],
             "small_t_regime": bool(T < 20.0),
+            **sim["sampler"].diagnostics,
         })
     report = CltReport(per_t=per_t, v_inf=v_inf, standardized_by=standardized_by)
     # no pass criterion in the pre-asymptotic regime

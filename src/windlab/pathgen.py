@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .covmodel import CovarianceModel, ModelClass, classify
 from .errors import (CapabilityError, ModelError, ParameterError,
@@ -51,6 +52,7 @@ CHOLESKY_N_CAP = 4096
 _EIG_TOL = -1e-10
 _CLIP_WARN = 1e-8
 _CLIP_FAIL = 1e-3
+_SLAB_BYTES = 1 << 20  # circulant noise per synthesis slab
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,12 @@ class CholeskySampler:
         x = self._chol @ z
         return SamplePath(grid=self.grid, x1=x[:n], x2=x[n:], seed=seed,
                           stream=stream, backend="cholesky",
-                          meta={"jitter": self.jitter,
+                          meta={**self.diagnostics,
                                 "model": model_spec_hash(self.model)})
+
+    @property
+    def diagnostics(self) -> dict:
+        return {"jitter": self.jitter}
 
     def sample_refined(self, seed: int, stream: int = 0):
         """Sample on the dyadic refinement of the grid and restrict to every
@@ -244,9 +250,13 @@ class SpectralSampler:
             x1 = other
         return SamplePath(grid=self.grid, x1=x1, x2=x2, dx2=dx2, seed=seed,
                           stream=stream, backend="spectral",
-                          meta={"n_freq": self.n_freq,
-                                "covariance_truncation": max(self.trunc2, self.trunc_other),
+                          meta={**self.diagnostics,
                                 "model": model_spec_hash(self.model)})
+
+    @property
+    def diagnostics(self) -> dict:
+        return {"n_freq": self.n_freq,
+                "covariance_truncation": max(self.trunc2, self.trunc_other)}
 
     def sample_refined(self, seed: int, stream: int = 0):
         """Same frequency noise, evaluated on the dyadic grid refinement."""
@@ -264,20 +274,20 @@ class SpectralSampler:
 class CirculantSampler:
     """Circulant embedding; scalar per coordinate for independent models,
     2x2 block (Hermitian spectral matrices, per-frequency factorization)
-    otherwise.  Negative embedding eigenvalues trigger padding doubling up
-    to 8x, after which remaining negative mass is clipped and recorded."""
+    otherwise.  The embedding length L is the shortest fast FFT length
+    covering 2(n-1) lags (Wood & Chan 1994); negative embedding eigenvalues
+    trigger padding doubling up to 8x, after which remaining negative mass
+    is clipped and recorded.  Each coordinate is one real inverse FFT of
+    Hermitian half-spectrum noise: every one of its L normals is used
+    (Dietrich & Newsam 1997)."""
 
     def __init__(self, model: CovarianceModel, grid: GridSpec):
         self.model = model
         self.grid = grid
         self.independent = classify(model) in (ModelClass.INDEPENDENT, ModelClass.IID)
-        self.clipped_mass = 0.0
-        pad = 1
-        while True:
-            ok = self._build(pad)
-            if ok or pad >= 8:
-                break
-            pad *= 2
+        self.pad = 1
+        while not self._build(self.pad) and self.pad < 8:
+            self.pad *= 2
         if self.clipped_mass > _CLIP_FAIL:
             raise SamplerError(
                 f"circulant embedding clipped {self.clipped_mass:.2e} relative "
@@ -286,84 +296,74 @@ class CirculantSampler:
             warnings.warn(f"circulant embedding clipped mass {self.clipped_mass:.2e}",
                           RuntimeWarning)
 
-    def _lags(self, pad):
-        n = self.grid.n
-        L = 1 << int(math.ceil(math.log2(max(2 * (n - 1), 2) * pad)))
-        k = np.arange(L)
-        tau = np.where(k <= L // 2, k, k - L) * self.grid.dt
-        return L, tau
+    @property
+    def diagnostics(self) -> dict:
+        return {"clipped_mass": self.clipped_mass, "embedding_length": self.L,
+                "pad": self.pad}
 
     def _build(self, pad) -> bool:
-        L, tau = self._lags(pad)
-        self.L = L
+        self.L = L = next_fast_len(max(2 * (self.grid.n - 1), 2) * pad, real=True)
+        k = np.arange(L)
+        tau = np.where(k <= L // 2, k, k - L) * self.grid.dt
+        # half-spectrum bins 0..L//2; all but bin 0 and an even L's Nyquist
+        # bin also stand for their mirror L - k
+        real_bins = (k[:L // 2 + 1] == 0) | (2 * k[:L // 2 + 1] == L)
+        mult = np.where(real_bins, 1.0, 2.0)
+        g11 = np.fft.rfft(np.asarray(self.model.r1(np.abs(tau)), float))
+        g22 = np.fft.rfft(np.asarray(self.model.r2(np.abs(tau)), float))
         if self.independent:
-            lam1 = np.fft.fft(np.asarray(self.model.r1(np.abs(tau)), float)).real
-            lam2 = np.fft.fft(np.asarray(self.model.r2(np.abs(tau)), float)).real
-            neg = -(lam1[lam1 < 0].sum() + lam2[lam2 < 0].sum())
-            tot = np.abs(lam1).sum() + np.abs(lam2).sum()
-            self.clipped_mass = float(neg / tot)
-            self._amp1 = np.sqrt(np.clip(lam1, 0.0, None) / L)
-            self._amp2 = np.sqrt(np.clip(lam2, 0.0, None) / L)
-            return self.clipped_mass <= 1e-12  # float-noise negativity is fine
-        # block case: per-frequency 2x2 Hermitian PSD factorization; the
-        # synthesis below realizes E[X_j X_l^T] = c_{l-j}, so the block
-        # sequence carries r12 transposed: (c_k)_{12} = r12(-tau_k)
-        g11 = np.fft.fft(np.asarray(self.model.r1(np.abs(tau)), float))
-        g22 = np.fft.fft(np.asarray(self.model.r2(np.abs(tau)), float))
-        g12 = np.fft.fft(np.asarray(self.model.r12(-tau), float))
-        g21 = np.fft.fft(np.asarray(self.model.r12(tau), float))
-        G = np.empty((L, 2, 2), complex)
-        G[:, 0, 0] = g11
-        G[:, 1, 1] = g22
-        G[:, 0, 1] = g12
-        G[:, 1, 0] = g21
-        G = 0.5 * (G + np.conj(np.transpose(G, (0, 2, 1))))
-        w, v = np.linalg.eigh(G)
-        neg = float(-w[w < 0].sum())
-        tot = float(np.abs(w).sum())
-        self.clipped_mass = neg / tot
-        w = np.clip(w, 0.0, None)
-        self._block_fac = v * np.sqrt(w / L)[:, None, :]
-        return self.clipped_mass <= 1e-12
+            w = np.stack([g11.real, g22.real], axis=-1)
+        else:
+            # block case: per-frequency 2x2 Hermitian PSD factorization of
+            # G_k = sum_u R(tau_u) e^{-2 pi i k u / L}, R_12(t) = r12(t)
+            G = np.empty((L // 2 + 1, 2, 2), complex)
+            G[:, 0, 0] = g11
+            G[:, 1, 1] = g22
+            G[:, 0, 1] = np.fft.rfft(np.asarray(self.model.r12(tau), float))
+            G[:, 1, 0] = np.fft.rfft(np.asarray(self.model.r12(-tau), float))
+            G = 0.5 * (G + np.conj(np.transpose(G, (0, 2, 1))))
+            w, v = np.linalg.eigh(G)
+            # irfft keeps only the real part of the real bins: real factors
+            w[real_bins], v[real_bins] = np.linalg.eigh(G[real_bins].real)
+        neg = float(np.sum(mult[:, None] * np.clip(w, None, 0.0)))
+        self.clipped_mass = -neg / float(np.sum(mult[:, None] * np.abs(w)))
+        # complex bins carry (a + ib)/sqrt(2): unit variance from two normals
+        amp = np.sqrt(L * np.clip(w, 0.0, None) / mult[:, None])
+        self._fac = (amp.T if self.independent             # (2, bins): diagonal
+                     else np.transpose(v * amp[:, None, :], (1, 2, 0)))  # (2, 2, bins)
+        return self.clipped_mass <= 1e-12  # float-noise negativity is fine
 
     def sample(self, seed: int, stream: int = 0) -> SamplePath:
-        n = self.grid.n
-        rng = _rng(seed, stream)
-        meta = {"clipped_mass": self.clipped_mass,
-                "model": model_spec_hash(self.model)}
-        if self.independent:
-            w1 = rng.standard_normal(self.L) + 1j * rng.standard_normal(self.L)
-            w2 = rng.standard_normal(self.L) + 1j * rng.standard_normal(self.L)
-            x1 = np.fft.fft(self._amp1 * w1)[:n].real
-            x2 = np.fft.fft(self._amp2 * w2)[:n].real
-        else:
-            w = rng.standard_normal((self.L, 2)) + 1j * rng.standard_normal((self.L, 2))
-            y = np.einsum("lij,lj->li", self._block_fac, w)
-            z = np.fft.fft(y, axis=0)[:n]
-            x1, x2 = z[:, 0].real, z[:, 1].real
+        x1, x2 = self.sample_batch(seed, [stream])[0]
         return SamplePath(grid=self.grid, x1=x1, x2=x2, seed=seed,
-                          stream=stream, backend="circulant", meta=meta)
+                          stream=stream, backend="circulant",
+                          meta={**self.diagnostics,
+                                "model": model_spec_hash(self.model)})
 
     def sample_batch(self, seed: int, streams) -> np.ndarray:
-        """(len(streams), 2, n) array of paths, bit-identical to calling
-        sample() per stream; the FFTs are batched for throughput."""
-        m, n = len(streams), self.grid.n
-        out = np.empty((m, 2, n))
-        if self.independent:
-            W = np.empty((m, 2, self.L), complex)
-            for i, s in enumerate(streams):
-                rng = _rng(seed, s)
-                W[i, 0] = rng.standard_normal(self.L) + 1j * rng.standard_normal(self.L)
-                W[i, 1] = rng.standard_normal(self.L) + 1j * rng.standard_normal(self.L)
-            out[:, 0] = np.fft.fft(self._amp1 * W[:, 0], axis=-1)[:, :n].real
-            out[:, 1] = np.fft.fft(self._amp2 * W[:, 1], axis=-1)[:, :n].real
-        else:
-            for i, s in enumerate(streams):
-                rng = _rng(seed, s)
-                w = rng.standard_normal((self.L, 2)) + 1j * rng.standard_normal((self.L, 2))
-                y = np.einsum("lij,lj->li", self._block_fac, w)
-                z = np.fft.fft(y, axis=0)[:n]
-                out[i, 0], out[i, 1] = z[:, 0].real, z[:, 1].real
+        """(len(streams), 2, n) array of paths; stream s draws its 2L
+        normals from its own Philox key, so a path does not depend on the
+        batch it is drawn in.  Slabs of about _SLAB_BYTES of noise bound
+        the working set for any n."""
+        L = self.L
+        out = np.empty((len(streams), 2, self.grid.n))
+        per = max(1, _SLAB_BYTES // (32 * (L // 2 + 1)))
+        for a in range(0, len(streams), per):
+            slab = streams[a:a + per]
+            W = np.empty((len(slab), 2, L // 2 + 1), complex)
+            re_im = W.view(float)
+            # normals fill re/im slots 1..L: bin 0's imaginary slot (copied
+            # to its real slot below), then the rest in order; an even L
+            # leaves the Nyquist bin's imaginary slot over, zeroed
+            for i, s in enumerate(slab):
+                re_im[i, :, 1:L + 1] = _rng(seed, s).standard_normal((2, L))
+            re_im[..., L + 1:] = 0.0
+            W.real[..., 0] = W.imag[..., 0]
+            if self.independent:
+                W *= self._fac
+            else:
+                W = self._fac[:, 0] * W[:, :1] + self._fac[:, 1] * W[:, 1:]
+            out[a:a + per] = np.fft.irfft(W, n=L, axis=-1)[..., :self.grid.n]
         return out
 
 

@@ -72,6 +72,26 @@ class TestDeterminism:
         assert "written_at_unix" in meta  # timestamps live outside the report
 
 
+class TestSamplerDiagnostics:
+    def test_rows_record_circulant_embedding(self):
+        # T = 20, dt = 0.02: n = 1001 points, embedding length 2(n - 1)
+        for run, kind, key in ((run_expectation, "expectation", "rows"),
+                               (run_variance, "variance", "rows"),
+                               (run_clt, "clt", "per_t")):
+            row = run(small_cfg(kind=kind, replications=20))["result"][key][0]
+            assert (row["embedding_length"], row["pad"]) == (2000, 1)
+            assert 0.0 <= row["clipped_mass"] <= 1e-12
+
+    def test_rows_record_other_backends(self):
+        rep = run_expectation(small_cfg(backend="cholesky", t_ladder=[5.0],
+                                        dt=0.05, replications=10))
+        assert rep["result"]["rows"][0]["jitter"] in (0.0, 1e-12)
+        rep = run_expectation(small_cfg(backend="spectral", t_ladder=[5.0],
+                                        dt=0.05, replications=10, n_freq=512))
+        row = rep["result"]["rows"][0]
+        assert row["n_freq"] == 512 and row["covariance_truncation"] < 0.05
+
+
 class TestExpectationRun:
     def test_passes_on_centered_model(self):
         rep = run_expectation(small_cfg(replications=200))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from windlab import pathgen
 from windlab.covmodel import bargmann_fock, make_independent_model
 from windlab.errors import (CapabilityError, ModelError, ParameterError,
                             ResolutionError)
@@ -40,7 +41,7 @@ class TestReproducibility:
             c = maker(iid_bf, grid, 99, stream=4)
             assert not np.array_equal(a.x2, c.x2)
 
-    def test_batch_matches_single(self, regression03):
+    def test_batch_matches_single(self, regression03, monkeypatch):
         grid = GridSpec.from_dt(5.0, 0.02)
         s = CirculantSampler(regression03, grid)
         batch = s.sample_batch(7, [0, 1, 2])
@@ -48,6 +49,9 @@ class TestReproducibility:
             p = s.sample(7, i)
             assert np.array_equal(batch[i, 0], p.x1)
             assert np.array_equal(batch[i, 1], p.x2)
+        # synthesis slabs of two streams: [0, 1] and [2]
+        monkeypatch.setattr(pathgen, "_SLAB_BYTES", 2 * 32 * (s.L // 2 + 1))
+        assert np.array_equal(s.sample_batch(7, [0, 1, 2]), batch)
 
 
 class TestCholesky:
@@ -168,6 +172,57 @@ class TestCirculant:
             se = math.sqrt(a.var(ddof=1) / n_rep + b.var(ddof=1) / n_rep)
             zmax = max(zmax, abs(float(a.mean() - b.mean())) / se)
         assert zmax < 3.3
+
+    @pytest.mark.parametrize("n, L", [(62, 125), (61, 120)])
+    @pytest.mark.parametrize("name", ["iid_bf", "ou_bf", "regression03", "even_cross"])
+    def test_lag_covariance_matches_model(self, name, n, L, request):
+        # E[X1(t) X1(0)], E[X2(t) X2(0)], E[X1(t) X2(0)] and E[X1(0) X2(t)]
+        # against r1(t), r2(t), r12(t), r12(-t) at every grid lag, with an
+        # odd and an even embedding length; 4.5 SE over 4n cells.
+        # even_cross is X1 = 0.6 X2 + 0.8 Z: an even r12, so the 2x2
+        # spectral matrices of the real bins are not diagonal
+        if name == "even_cross":
+            bf = request.getfixturevalue("iid_bf")
+            model = replace(bf, r12=lambda t: 0.6 * bf.r2(t))
+        else:
+            model = request.getfixturevalue(name)
+        grid = GridSpec(T=(n - 1) * 0.2, n=n)
+        s = CirculantSampler(model, grid)
+        assert (s.L, s.pad) == (L, 1)
+        arr = s.sample_batch(5, range(20_000))
+        x1, x2 = arr[:, 0], arr[:, 1]
+        t = grid.times()
+        worst = 0.0
+        for prod, want in ((x1 * x1[:, :1], model.r1(t)),
+                           (x2 * x2[:, :1], model.r2(t)),
+                           (x1 * x2[:, :1], model.r12(t)),
+                           (x1[:, :1] * x2, model.r12(-t))):
+            se = prod.std(axis=0, ddof=1) / math.sqrt(len(prod))
+            worst = max(worst, float(np.max(np.abs(prod.mean(axis=0) - want) / se)))
+        assert worst < 4.5
+
+    def test_draws_2L_normals_per_path(self, iid_bf, regression03, monkeypatch):
+        drawn = []
+
+        class Counting(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                r = super().standard_normal(*args, **kwargs)
+                drawn.append(r.size)
+                return r
+
+        monkeypatch.setattr(pathgen, "_rng", lambda seed, stream: Counting(
+            np.random.Philox(key=[seed, stream])))
+        for model in (iid_bf, regression03):
+            for n in (61, 62):
+                s = CirculantSampler(model, GridSpec(T=(n - 1) * 0.2, n=n))
+                drawn.clear()
+                s.sample_batch(3, range(7))
+                assert sum(drawn) == 2 * s.L * 7
+
+    def test_meta_records_embedding(self, iid_bf):
+        p = sample_circulant(iid_bf, GridSpec(T=12.2, n=62), 1)
+        assert (p.meta["embedding_length"], p.meta["pad"]) == (125, 1)
+        assert p.meta["clipped_mass"] <= 1e-12
 
     def test_perf_scaling(self, iid_bf):
         # n log n growth: quadrupling n must not blow up the cost
