@@ -20,9 +20,9 @@ from .gauss import (ChaosCoefficients, ConditionalCov, QuadrantCorr,
                     chaos_coefficients, conditional_cov, generic_regression,
                     hermite, joint_cov_matrix, orthant_angle, orthant_prob,
                     quadrant_expectation, quadrant_expectation_series)
-from .harness import (CltReport, ExperimentConfig, run_clt, run_expectation,
-                      run_experiment, run_lemma_check, run_smoothing,
-                      run_variance, simulate_windings, write_report)
+from .harness import (ExperimentConfig, run_clt, run_expectation,
+                      run_lemma_check, run_smoothing, run_variance,
+                      simulate_windings, write_report)
 from .moments import (MomentReport, QuadratureSpec, chaos_projection_variances,
                       expectation_rate, var_I1, variance_bound_two_alpha,
                       variance_rate_general, variance_rate_independent,

@@ -15,12 +15,12 @@ Exit codes: 0 all statistical checks passed, 1 statistical failure,
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from .covmodel import check_conditions, classify
 from .errors import WindlabError
-from .harness import (ExperimentConfig, report_to_json, run_clt,
+from .harness import (ExperimentConfig, _report, report_to_json, run_clt,
                       run_expectation, run_lemma_check, run_smoothing,
                       run_variance, write_report)
 from .moments import (chaos_projection_variances, expectation_rate,
@@ -97,29 +97,23 @@ def _moments_report(cfg: ExperimentConfig) -> dict:
         body["chaos"] = chaos_projection_variances(model)
     except WindlabError as e:
         body["chaos"] = {"unavailable": str(e)}
-    return {"schema": "windlab-report/1", "kind": "moments",
-            "config": json.loads(cfg.to_json()), "result": body, "pass": True}
+    return _report("moments", cfg, body, True)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    kind_map = {"moments": "expectation", "variance": "variance",
-                "simulate": "expectation", "clt": "clt",
-                "check": "lemma_check", "smooth": "smoothing"}
+    # command -> (config kind, runner); built per call so that the runners
+    # are looked up when main runs
+    commands = {"moments": ("expectation", _moments_report),
+                "variance": ("variance", run_variance),
+                "simulate": ("expectation", run_expectation),
+                "clt": ("clt", run_clt),
+                "check": ("lemma_check", run_lemma_check),
+                "smooth": ("smoothing", run_smoothing)}
+    kind, runner = commands[args.command]
     try:
-        cfg = _load_config(args, kind_map[args.command])
-        if args.command == "moments":
-            report = _moments_report(cfg)
-        elif args.command == "variance":
-            report = run_variance(cfg)
-        elif args.command == "simulate":
-            report = run_expectation(cfg)
-        elif args.command == "clt":
-            report = run_clt(cfg)
-        elif args.command == "check":
-            report = run_lemma_check(cfg)
-        else:
-            report = run_smoothing(cfg)
+        cfg = _load_config(args, kind)
+        report = runner(cfg)
     except WindlabError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -132,7 +126,6 @@ def main(argv=None) -> int:
                             fmt=args.format)
         print(f"report written to {path}")
         if args.command == "moments":
-            import os
             rho1 = cfg.build_model().meta.get("rho1", 0.0)
             coeff_path = os.path.join(cfg.out_dir, "chaos_coefficients.csv")
             export_chaos_coefficients_csv(rho1, 8, coeff_path)

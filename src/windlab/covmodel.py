@@ -148,10 +148,22 @@ def alpha_family(alpha: float) -> CovFamily:
     )
 
 
+def _required(entry, key, what, number=False):
+    """entry[key], or a ParameterError naming the missing or non-numeric
+    entry of a model spec."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ParameterError(f"{what} needs '{key}'")
+    v = entry[key]
+    if number and (isinstance(v, bool) or not isinstance(v, (int, float))):
+        raise ParameterError(f"{what}: '{key}' must be a number, got {v!r}")
+    return v
+
+
 _FAMILIES = {
     "bargmann_fock": lambda **kw: bargmann_fock(),
     "ou": lambda **kw: ornstein_uhlenbeck(),
-    "alpha": lambda **kw: alpha_family(kw["alpha"]),
+    "alpha": lambda **kw: alpha_family(
+        _required(kw, "alpha", "family 'alpha'", number=True)),
 }
 
 
@@ -466,9 +478,8 @@ def check_conditions(model: CovarianceModel, lag_max=40.0, n_grid=4001) -> Condi
 # model specification files (JSON-compatible)
 # ----------------------------------------------------------------------
 def _family_from_entry(entry: dict) -> CovFamily:
-    entry = dict(entry)
-    name = entry.pop("family")
-    return family_from_name(name, **entry)
+    name = _required(entry, "family", "covariance entry")
+    return family_from_name(name, **{k: v for k, v in entry.items() if k != "family"})
 
 
 def model_from_spec(spec) -> CovarianceModel:
@@ -483,18 +494,22 @@ def model_from_spec(spec) -> CovarianceModel:
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise ParameterError(f"model spec must be a JSON object, got {spec!r}")
     cross = spec.get("cross", "independent")
     if cross == "iid":
-        fam = _family_from_entry(spec.get("x") or spec["x2"])
+        fam = _family_from_entry(
+            spec.get("x") or _required(spec, "x2", "iid model ('x' or 'x2')"))
         return make_iid_model(fam)
     if cross == "independent":
         return make_independent_model(
-            _family_from_entry(spec["x1"]), _family_from_entry(spec["x2"]))
+            _family_from_entry(_required(spec, "x1", "independent model")),
+            _family_from_entry(_required(spec, "x2", "independent model")))
     if isinstance(cross, dict) and cross.get("type") == "regression":
         return make_regression_model(
-            _family_from_entry(spec["x2"]),
-            _family_from_entry(cross["rz"]),
-            float(cross["rho1"]),
+            _family_from_entry(_required(spec, "x2", "regression model")),
+            _family_from_entry(_required(cross, "rz", "regression cross")),
+            float(_required(cross, "rho1", "regression cross", number=True)),
         )
     raise ParameterError(f"unrecognized cross specification: {cross!r}")
 

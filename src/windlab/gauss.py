@@ -32,6 +32,7 @@ __all__ = [
     "orthant_prob",
     "orthant_angle",
     "QuadrantCorr",
+    "quadrant_closed",
     "quadrant_expectation",
     "quadrant_expectation_series",
     "ConditionalCov",
@@ -131,18 +132,24 @@ class QuadrantCorr:
         return self
 
 
+def quadrant_closed(r12, r13, r14, r23, r24, r34) -> float:
+    """The closed form of the module docstring, unvalidated: the caller
+    guarantees a PSD correlation structure with |r34| < 1."""
+    s = math.sqrt(1.0 - r34 * r34)
+    direct = r13 * r24 + r14 * r23
+    exchange = r13 * r23 + r14 * r24
+    return (r12 / 4.0
+            + r12 * math.asin(r34) / (2.0 * math.pi)
+            + (direct - r34 * exchange) / (2.0 * math.pi * s))
+
+
 def quadrant_expectation(c: QuadrantCorr) -> float:
     """E[X1 X2 1{X3>0} 1{X4>0}] in closed form (module docstring)."""
     c.validate()
     if abs(c.rho34) > 1.0 - _RHO34_GUARD:
         raise SingularityError(
             f"|rho34| = {abs(c.rho34)} too close to 1 for the closed form")
-    s = math.sqrt(1.0 - c.rho34 ** 2)
-    direct = c.rho13 * c.rho24 + c.rho14 * c.rho23
-    exchange = c.rho13 * c.rho23 + c.rho14 * c.rho24
-    return (c.rho12 / 4.0
-            + c.rho12 * math.asin(c.rho34) / (2.0 * math.pi)
-            + (direct - c.rho34 * exchange) / (2.0 * math.pi * s))
+    return quadrant_closed(c.rho12, c.rho13, c.rho14, c.rho23, c.rho24, c.rho34)
 
 
 def quadrant_expectation_series(c: QuadrantCorr, order: int = 80) -> float:

@@ -27,18 +27,16 @@ from .gauss import (QuadrantCorr, conditional_cov, generic_regression,
 from .moments import (expectation_rate, variance_bound_two_alpha,
                       variance_rate_general, variance_rate_independent)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec,
-                      SpectralSampler, export_path_csv)
+                      SamplePath, SpectralSampler, export_path_csv)
 from .winding import count_windings_arrays, smoothed_winding
 
 __all__ = [
     "ExperimentConfig",
-    "CltReport",
     "run_expectation",
     "run_variance",
     "run_clt",
     "run_lemma_check",
     "run_smoothing",
-    "run_experiment",
     "simulate_windings",
     "random_psd_quadrant",
     "quadrant_mc",
@@ -47,6 +45,10 @@ __all__ = [
 
 SCHEMA = "windlab-report/1"
 _CHUNK = 200
+# diagram-series order of the closed-form oracle: the order-80 remainder
+# reaches ~7.5e-9 at |rho34| = 0.9, above the 1e-10 gate; order 160 is
+# below 1e-15 there
+_SERIES_ORDER = 160
 
 
 # ----------------------------------------------------------------------
@@ -72,8 +74,19 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     KINDS = ("expectation", "variance", "clt", "lemma_check", "smoothing")
+    INT_FIELDS = ("replications", "seed", "workers", "n_freq", "lemma_mc_samples",
+                  "lemma_random_sets", "lemma_spot_cases", "export_paths")
 
     def __post_init__(self):
+        for name in self.INT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if not isinstance(self.t_ladder, list) or not self.t_ladder:
+            raise ConfigError("t_ladder must be a non-empty list")
+        for v in [self.dt, *self.t_ladder]:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"dt and t_ladder entries must be numbers, got {v!r}")
         if self.kind not in self.KINDS:
             raise ConfigError(f"kind must be one of {self.KINDS}, got '{self.kind}'")
         if self.replications < 1:
@@ -92,6 +105,8 @@ class ExperimentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
+        if not isinstance(data, dict) or "model" not in data:
+            raise ConfigError("config must be a JSON object with a 'model' entry")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -120,50 +135,43 @@ def _make_sampler(model, grid, backend, n_freq):
     raise ConfigError(f"unknown backend '{backend}'")
 
 
-def simulate_windings(model, T, dt, backend, seed, reps, workers=1,
-                      n_freq=4096, keep_paths=0):
-    """Winding counts for ``reps`` replications.
-
-    Returns a dict with the per-replication signed counts (NaN where the
-    aliasing guard rejected the path), agreement flags, and bookkeeping.
-    """
-    grid = GridSpec.from_dt(T, dt)
-    sampler = _make_sampler(model, grid, backend, n_freq)
+def _map_paths(sampler, seed, reps, workers, fn):
+    """fn(x1, x2) for the paths of streams 0..reps-1, None where the
+    aliasing guard rejected a path.  Each chunk of _CHUNK streams is one
+    sample_batch call; chunks run on ``workers`` threads."""
     chunks = [list(range(i, min(i + _CHUNK, reps))) for i in range(0, reps, _CHUNK)]
 
     def do_chunk(streams):
-        n_w = np.full(len(streams), np.nan)
-        agree = np.zeros(len(streams), dtype=bool)
-        kept = []
-        if isinstance(sampler, CirculantSampler):
-            arr = sampler.sample_batch(seed, streams)
-            pairs = ((arr[i, 0], arr[i, 1]) for i in range(len(streams)))
-        else:
-            pairs = ((p.x1, p.x2) for p in (sampler.sample(seed, s) for s in streams))
-        for i, (x1, x2) in enumerate(pairs):
-            if streams[i] < keep_paths:
-                kept.append((streams[i], x1.copy(), x2.copy()))
+        out = []
+        for x1, x2 in sampler.sample_batch(seed, streams):
             try:
-                r = count_windings_arrays(x1, x2)
+                out.append(fn(x1, x2))
             except AliasingError:
-                continue
-            n_w[i] = r.n_w
-            agree[i] = r.agreement
-        return n_w, agree, kept
+                out.append(None)
+        return out
 
     if workers <= 1:
         parts = [do_chunk(c) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(do_chunk, chunks))
-    n_w = np.concatenate([p[0] for p in parts])
-    agree = np.concatenate([p[1] for p in parts])
-    kept = [k for p in parts for k in p[2]]
+    return [r for part in parts for r in part]
+
+
+def simulate_windings(model, T, dt, backend, seed, reps, workers=1, n_freq=4096):
+    """Winding counts for ``reps`` replications.
+
+    Returns a dict with the per-replication signed counts (NaN where the
+    aliasing guard rejected the path), agreement flags, and bookkeeping.
+    """
+    sampler = _make_sampler(model, GridSpec.from_dt(T, dt), backend, n_freq)
+    res = _map_paths(sampler, seed, reps, workers, count_windings_arrays)
+    n_w = np.array([np.nan if r is None else r.n_w for r in res], dtype=float)
+    agree = np.array([r is not None and r.agreement for r in res], dtype=bool)
     ok = ~np.isnan(n_w)
     return {
         "n_w": n_w, "accepted": ok, "agreement": agree,
-        "n_rejected": int(np.count_nonzero(~ok)),
-        "grid": grid, "sampler": sampler, "kept_paths": kept,
+        "n_rejected": int(np.count_nonzero(~ok)), "sampler": sampler,
     }
 
 
@@ -211,8 +219,7 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
     rows = []
     for T in cfg.t_ladder:
         sim = simulate_windings(model, T, cfg.dt, cfg.backend, cfg.seed,
-                                cfg.replications, cfg.workers, cfg.n_freq,
-                                keep_paths=cfg.export_paths)
+                                cfg.replications, cfg.workers, cfg.n_freq)
         vals = sim["n_w"][sim["accepted"]]
         mean, se = _mean_se(vals)
         theory = T * rate
@@ -228,7 +235,7 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
         else:
             row["pass"] = bool(abs(mean - theory) <= 3.0 * se) if se > 0 else bool(mean == theory)
         rows.append(row)
-        _maybe_export_paths(cfg, sim)
+        _export_paths(cfg, sim["sampler"], T)
     ok = all(r["pass"] is not False for r in rows)
     return _report("expectation", cfg, {"expectation_rate": rate, "rows": rows}, ok)
 
@@ -283,16 +290,6 @@ def run_variance(cfg: ExperimentConfig) -> dict:
     return _report("variance", cfg, body, ok)
 
 
-@dataclass
-class CltReport:
-    per_t: list
-    v_inf: Optional[float]
-    standardized_by: str
-
-    def to_dict(self):
-        return dict(self.__dict__)
-
-
 def run_clt(cfg: ExperimentConfig) -> dict:
     """Kolmogorov-Smirnov test of (N_W - E N_W)/sqrt(T) against
     Normal(0, V_inf), with skewness/kurtosis moments."""
@@ -337,10 +334,10 @@ def run_clt(cfg: ExperimentConfig) -> dict:
             "small_t_regime": bool(T < 20.0),
             **sim["sampler"].diagnostics,
         })
-    report = CltReport(per_t=per_t, v_inf=v_inf, standardized_by=standardized_by)
     # no pass criterion in the pre-asymptotic regime
     ok = all(r["p_value"] > 0.01 for r in per_t if not r["small_t_regime"])
-    return _report("clt", cfg, report.to_dict(), ok)
+    return _report("clt", cfg, {"per_t": per_t, "v_inf": v_inf,
+                                "standardized_by": standardized_by}, ok)
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +402,7 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
     for _ in range(cfg.lemma_random_sets):
         c = random_psd_quadrant(rng)
         series_err = max(series_err,
-                         abs(closed(c) - quadrant_expectation_series(c, 80)))
+                         abs(closed(c) - quadrant_expectation_series(c, _SERIES_ORDER)))
     checks["closed_vs_series"] = {
         "sets": cfg.lemma_random_sets, "max_abs_diff": series_err,
         "tolerance": 1e-10, "pass": bool(series_err < 1e-10)}
@@ -443,7 +440,7 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
             c = QuadrantCorr(*[float(v) for v in row[:6]])
             try:
                 cf = closed(c)
-                sr = quadrant_expectation_series(c, 80)
+                sr = quadrant_expectation_series(c, _SERIES_ORDER)
                 rows.append({"corr": list(map(float, row[:6])), "closed": cf,
                              "series": sr, "abs_diff": abs(cf - sr),
                              "pass": bool(abs(cf - sr) < 1e-10)})
@@ -471,17 +468,11 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     T = cfg.t_ladder[-1]
     grid = GridSpec.from_dt(T, cfg.dt)
     sampler = _make_sampler(model, grid, cfg.backend, cfg.n_freq)
-    m = cfg.replications
-    n_w = np.full((m, len(eps)), np.nan)
-    stabilized = np.zeros(m, dtype=bool)
-    for s in range(m):
-        path = sampler.sample(cfg.seed, s)
-        try:
-            res = smoothed_winding(path, eps)
-        except AliasingError:
-            continue
-        n_w[s] = [r.n_w for r in res.results]
-        stabilized[s] = res.stabilized
+    res = _map_paths(sampler, cfg.seed, cfg.replications, cfg.workers,
+                     lambda x1, x2: smoothed_winding(SamplePath(grid, x1, x2), eps))
+    n_w = np.array([[np.nan] * len(eps) if r is None else [x.n_w for x in r.results]
+                    for r in res], dtype=float)
+    stabilized = np.array([r is not None and r.stabilized for r in res], dtype=bool)
     rows = []
     for j, e in enumerate(eps):
         vals = n_w[:, j][~np.isnan(n_w[:, j])]
@@ -505,19 +496,6 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     return _report("smoothing", cfg, body, ok)
 
 
-_RUNNERS = {
-    "expectation": run_expectation,
-    "variance": run_variance,
-    "clt": run_clt,
-    "lemma_check": run_lemma_check,
-    "smoothing": run_smoothing,
-}
-
-
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    return _RUNNERS[cfg.kind](cfg)
-
-
 # ----------------------------------------------------------------------
 # report plumbing
 # ----------------------------------------------------------------------
@@ -531,17 +509,15 @@ def _report(kind, cfg, body, ok) -> dict:
     }
 
 
-def _maybe_export_paths(cfg, sim):
+def _export_paths(cfg, sampler, T):
+    """CSV of the first ``export_paths`` streams at horizon T, drawn again
+    by sampler.sample (the same paths the run counted)."""
     if not cfg.export_paths or not cfg.out_dir:
         return
     os.makedirs(os.path.join(cfg.out_dir, "paths"), exist_ok=True)
-    grid = sim["grid"]
-    for stream, x1, x2 in sim["kept_paths"]:
-        from .pathgen import SamplePath
-        p = SamplePath(grid=grid, x1=x1, x2=x2, seed=cfg.seed, stream=stream,
-                       backend=cfg.backend, meta={})
-        export_path_csv(p, os.path.join(cfg.out_dir, "paths",
-                                        f"path_{stream:05d}.csv"))
+    for s in range(min(cfg.export_paths, cfg.replications)):
+        export_path_csv(sampler.sample(cfg.seed, s),
+                        os.path.join(cfg.out_dir, "paths", f"path_T{T:g}_{s:05d}.csv"))
 
 
 def report_to_json(report: dict) -> str:

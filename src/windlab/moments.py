@@ -34,7 +34,9 @@ import numpy as np
 from .covmodel import CovarianceModel, ModelClass, classify
 from .errors import (CapabilityError, DivergenceError, HypothesisError,
                      ParameterError)
-from .gauss import conditional_cov, g_norm_sq, orthant_angle
+from .gauss import (conditional_cov, g_norm_sq, orthant_angle,
+                    quadrant_closed)
+from .pathgen import bump_kernel
 from .quadrature import adaptive_quad, integrate_to_infinity, tanh_sinh
 
 __all__ = [
@@ -239,13 +241,8 @@ def _ec_bracket(model, rho1_sq):
         cc = conditional_cov(model, t)
         corr, sd = cc.correlations()
         r34 = min(max(corr[2, 3], -1.0 + 1e-15), 1.0 - 1e-15)
-        s = math.sqrt(1.0 - r34 * r34)
-        direct = corr[0, 2] * corr[1, 3] + corr[0, 3] * corr[1, 2]
-        exchange = corr[0, 2] * corr[1, 2] + corr[0, 3] * corr[1, 3]
-        ec_std = (corr[0, 1] / 4.0
-                  + corr[0, 1] * math.asin(r34) / TWO_PI
-                  + (direct - r34 * exchange) / (TWO_PI * s))
-        ec = sd[0] * sd[1] * ec_std
+        ec = sd[0] * sd[1] * quadrant_closed(corr[0, 1], corr[0, 2], corr[0, 3],
+                                             corr[1, 2], corr[1, 3], r34)
         return TWO_PI * ec / math.sqrt(float(model.omr2sq(t))) - rho1_sq
 
     return bracket
@@ -464,8 +461,7 @@ def _bump_autocorr(epsilon: float, n=2001):
     """Autocorrelation of the normalized bump kernel psi_eps; support
     [-2 eps, 2 eps].  Returns (offsets, weights) with sum(weights) = 1."""
     u = np.linspace(-1.0, 1.0, n)
-    with np.errstate(divide="ignore", over="ignore"):
-        psi = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
+    psi = bump_kernel(u)
     psi /= psi.sum()
     k2 = np.convolve(psi, psi[::-1], mode="full")
     off = (np.arange(k2.size) - (n - 1)) * (u[1] - u[0]) * epsilon

@@ -108,15 +108,46 @@ def model_spec_hash(model: CovarianceModel) -> str:
 
 
 # ----------------------------------------------------------------------
+# sampler protocol
+# ----------------------------------------------------------------------
+class _Sampler:
+    """Batch-first protocol shared by the three backends.
+
+    ``sample_batch(seed, streams)`` returns the (len(streams), 2, n) array
+    of (x1, x2) paths; stream s draws from its own Philox key, so a path
+    does not depend on the batch it is drawn in.  ``sample(seed, stream)``
+    is the one-stream batch wrapped as a SamplePath whose meta carries the
+    model hash and the sampler diagnostics.
+    """
+
+    backend = "?"
+
+    def sample(self, seed: int, stream: int = 0) -> SamplePath:
+        x = self._rows(seed, [stream])[0]
+        return SamplePath(grid=self.grid, x1=x[0], x2=x[1],
+                          dx2=x[2] if len(x) > 2 else None, seed=seed,
+                          stream=stream, backend=self.backend,
+                          meta={**self.diagnostics,
+                                "model": model_spec_hash(self.model)})
+
+    def _rows(self, seed, streams) -> np.ndarray:
+        """The arrays behind sample(): sample_batch, plus dx2 where a
+        backend has it."""
+        return self.sample_batch(seed, streams)
+
+
+# ----------------------------------------------------------------------
 # Cholesky backend
 # ----------------------------------------------------------------------
-class CholeskySampler:
+class CholeskySampler(_Sampler):
     """Exact sampler from the dense 2n x 2n joint covariance.
 
     The cross block is assembled entry-wise from r12 with the signed lag
     (E[X1(t_i) X2(t_j)] = r12(t_i - t_j)), which matters whenever r12 is
     not even.
     """
+
+    backend = "cholesky"
 
     def __init__(self, model: CovarianceModel, grid: GridSpec):
         if grid.n > CHOLESKY_N_CAP:
@@ -144,14 +175,12 @@ class CholeskySampler:
             cov[np.diag_indices_from(cov)] += self.jitter
             self._chol = np.linalg.cholesky(cov)
 
-    def sample(self, seed: int, stream: int = 0) -> SamplePath:
+    def sample_batch(self, seed: int, streams) -> np.ndarray:
         n = self.grid.n
-        z = _rng(seed, stream).standard_normal(2 * n)
-        x = self._chol @ z
-        return SamplePath(grid=self.grid, x1=x[:n], x2=x[n:], seed=seed,
-                          stream=stream, backend="cholesky",
-                          meta={**self.diagnostics,
-                                "model": model_spec_hash(self.model)})
+        out = np.empty((len(streams), 2, n))
+        for i, s in enumerate(streams):
+            out[i] = (self._chol @ _rng(seed, s).standard_normal(2 * n)).reshape(2, n)
+        return out
 
     @property
     def diagnostics(self) -> dict:
@@ -174,12 +203,14 @@ class CholeskySampler:
 # ----------------------------------------------------------------------
 # spectral backend
 # ----------------------------------------------------------------------
-class SpectralSampler:
+class SpectralSampler(_Sampler):
     """Harmonic synthesis X2(t) = sum_j sqrt(f2(l_j) dl) [xi_j cos(l_j t)
     + eta_j sin(l_j t)], with the consistent derivative using the same
     (xi, eta).  X1 is built per the model class: independent noise for
     independent models, rho1 X2' + rho2 Z for the regression family.
     """
+
+    backend = "spectral"
 
     def __init__(self, model: CovarianceModel, grid: GridSpec,
                  n_freq: int = 4096, lambda_max: Optional[float] = None):
@@ -236,22 +267,28 @@ class SpectralSampler:
             raise CapabilityError("regression spectral synthesis needs the rZ spectrum")
         return fam.f
 
-    def sample(self, seed: int, stream: int = 0) -> SamplePath:
-        rng = _rng(seed, stream)
-        xi, eta = rng.standard_normal((2, self.n_freq))
-        x2 = (self.amp2 * xi) @ self.cos + (self.amp2 * eta) @ self.sin
-        dx2 = (self.amp2 * self.lam * eta) @ self.cos - (self.amp2 * self.lam * xi) @ self.sin
-        xo, eo = rng.standard_normal((2, self.n_freq))
-        other = (self.amp_other * xo) @ self.cos + (self.amp_other * eo) @ self.sin
-        if self.construction == "regression":
-            rho1, rho2 = self.model.meta["rho1"], self.model.meta["rho2"]
-            x1 = rho1 * dx2 + rho2 * other
-        else:
-            x1 = other
-        return SamplePath(grid=self.grid, x1=x1, x2=x2, dx2=dx2, seed=seed,
-                          stream=stream, backend="spectral",
-                          meta={**self.diagnostics,
-                                "model": model_spec_hash(self.model)})
+    def _rows(self, seed: int, streams) -> np.ndarray:
+        """(len(streams), 3, n) array of (x1, x2, dx2); dx2 comes from the
+        same frequency noise as x2."""
+        out = np.empty((len(streams), 3, self.grid.n))
+        for i, s in enumerate(streams):
+            rng = _rng(seed, s)
+            xi, eta = rng.standard_normal((2, self.n_freq))
+            x2 = (self.amp2 * xi) @ self.cos + (self.amp2 * eta) @ self.sin
+            dx2 = ((self.amp2 * self.lam * eta) @ self.cos
+                   - (self.amp2 * self.lam * xi) @ self.sin)
+            xo, eo = rng.standard_normal((2, self.n_freq))
+            other = (self.amp_other * xo) @ self.cos + (self.amp_other * eo) @ self.sin
+            if self.construction == "regression":
+                rho1, rho2 = self.model.meta["rho1"], self.model.meta["rho2"]
+                out[i, 0] = rho1 * dx2 + rho2 * other
+            else:
+                out[i, 0] = other
+            out[i, 1], out[i, 2] = x2, dx2
+        return out
+
+    def sample_batch(self, seed: int, streams) -> np.ndarray:
+        return self._rows(seed, streams)[:, :2]
 
     @property
     def diagnostics(self) -> dict:
@@ -271,7 +308,7 @@ class SpectralSampler:
 # ----------------------------------------------------------------------
 # circulant backend
 # ----------------------------------------------------------------------
-class CirculantSampler:
+class CirculantSampler(_Sampler):
     """Circulant embedding; scalar per coordinate for independent models,
     2x2 block (Hermitian spectral matrices, per-frequency factorization)
     otherwise.  The embedding length L is the shortest fast FFT length
@@ -280,6 +317,8 @@ class CirculantSampler:
     is clipped and recorded.  Each coordinate is one real inverse FFT of
     Hermitian half-spectrum noise: every one of its L normals is used
     (Dietrich & Newsam 1997)."""
+
+    backend = "circulant"
 
     def __init__(self, model: CovarianceModel, grid: GridSpec):
         self.model = model
@@ -333,18 +372,9 @@ class CirculantSampler:
                      else np.transpose(v * amp[:, None, :], (1, 2, 0)))  # (2, 2, bins)
         return self.clipped_mass <= 1e-12  # float-noise negativity is fine
 
-    def sample(self, seed: int, stream: int = 0) -> SamplePath:
-        x1, x2 = self.sample_batch(seed, [stream])[0]
-        return SamplePath(grid=self.grid, x1=x1, x2=x2, seed=seed,
-                          stream=stream, backend="circulant",
-                          meta={**self.diagnostics,
-                                "model": model_spec_hash(self.model)})
-
     def sample_batch(self, seed: int, streams) -> np.ndarray:
-        """(len(streams), 2, n) array of paths; stream s draws its 2L
-        normals from its own Philox key, so a path does not depend on the
-        batch it is drawn in.  Slabs of about _SLAB_BYTES of noise bound
-        the working set for any n."""
+        """Stream s draws its 2L normals from its own Philox key; slabs of
+        about _SLAB_BYTES of noise bound the working set for any n."""
         L = self.L
         out = np.empty((len(streams), 2, self.grid.n))
         per = max(1, _SLAB_BYTES // (32 * (L // 2 + 1)))

@@ -19,7 +19,6 @@ __all__ = [
     "adaptive_quad",
     "tanh_sinh",
     "integrate_to_infinity",
-    "dual_rule_integral",
 ]
 
 
@@ -141,14 +140,3 @@ def integrate_to_infinity(f, t0=0.0, abs_tol=1e-10, rel_tol=1e-10,
         )
     return val, err + prev_tail
 
-
-def dual_rule_integral(f, a, b, agree_tol=1e-8):
-    """Evaluate an integral by Gauss-Kronrod and tanh-sinh independently.
-
-    Returns (value, |difference|).  The Gauss-Kronrod value is returned as
-    the primary one; callers may assert the difference against their own
-    agreement requirement.
-    """
-    v1, _ = adaptive_quad(f, a, b, abs_tol=agree_tol * 1e-3, rel_tol=agree_tol * 1e-3)
-    v2, _ = tanh_sinh(f, a, b, tol=agree_tol * 1e-3)
-    return v1, abs(v1 - v2)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import AliasingError, ParameterError
-from .pathgen import GridSpec, SamplePath, smooth_path
+from .pathgen import SamplePath, smooth_path
 
 __all__ = [
     "WindingResult",
@@ -100,38 +100,18 @@ def count_windings(path: SamplePath) -> WindingResult:
     return count_windings_arrays(path.x1, path.x2)
 
 
-_REFINED_SAMPLERS: dict = {}
-
-
-def count_windings_refined(model, grid: GridSpec, seed: int, stream: int = 0,
-                           backend: str = "spectral",
-                           n_freq: int = 2048) -> WindingResult:
-    """Count at dt and dt/2 on nested grids driven by the same randomness;
+def count_windings_refined(sampler, seed: int, stream: int = 0) -> WindingResult:
+    """Count at dt and dt/2 on nested grids driven by the same randomness
+    (the sampler's ``sample_refined``: spectral and Cholesky backends);
     refinement_stable records whether n_w survived the refinement.  The
     finer-grid result is returned."""
-    from .pathgen import CholeskySampler, SpectralSampler
-
-    key = (id(model), grid, backend, n_freq)
-    sampler = _REFINED_SAMPLERS.get(key)
-    if sampler is None:
-        if backend == "spectral":
-            sampler = SpectralSampler(model, grid, n_freq=n_freq)
-        elif backend == "cholesky":
-            sampler = CholeskySampler(model, grid)
-        else:
-            raise ParameterError(
-                f"refined counting supports spectral/cholesky backends, got '{backend}'")
-        if len(_REFINED_SAMPLERS) > 8:
-            _REFINED_SAMPLERS.clear()
-        _REFINED_SAMPLERS[key] = sampler
+    if not hasattr(sampler, "sample_refined"):
+        raise ParameterError(
+            "refined counting needs a sampler with sample_refined "
+            f"(spectral or cholesky), got {type(sampler).__name__}")
     coarse, fine = sampler.sample_refined(seed, stream)
-    rc = count_windings(coarse)
     rf = count_windings(fine)
-    return WindingResult(
-        n_up=rf.n_up, n_down=rf.n_down, n_w=rf.n_w, delta_arg=rf.delta_arg,
-        agreement=rf.agreement, min_radius=rf.min_radius,
-        refinement_stable=(rc.n_w == rf.n_w),
-    )
+    return replace(rf, refinement_stable=(count_windings(coarse).n_w == rf.n_w))
 
 
 @dataclass(frozen=True)

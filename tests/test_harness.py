@@ -185,6 +185,15 @@ class TestLemmaCheck:
         assert not rep["pass"]
         assert not rep["result"]["checks"]["closed_vs_series"]["pass"]
 
+    def test_series_gate_holds_on_a_far_tail_seed(self):
+        # seed whose 500 random sets include one where the order-80 series
+        # remainder (1.2e-10) exceeded the 1e-10 gate
+        cfg = small_cfg(kind="lemma_check", seed=1474850610,
+                        lemma_random_sets=500, lemma_spot_cases=1,
+                        lemma_mc_samples=1000)
+        series = run_lemma_check(cfg)["result"]["checks"]["closed_vs_series"]
+        assert series["pass"] and series["max_abs_diff"] < 1e-10
+
     def test_correlation_file_rows(self, tmp_path):
         f = tmp_path / "corr.csv"
         rows = ["0.5,0,0,0,0,0",          # independent pair
@@ -220,6 +229,14 @@ class TestSmoothingRun:
         assert rep["result"]["stabilization_rate"] is None
         assert "not assessable" in rep["result"]["stabilization_note"]
 
+    def test_workers_do_not_change_report(self):
+        cfg = small_cfg(model=TWO_ALPHA, kind="smoothing",
+                        epsilon_ladder=[0.4, 0.2], t_ladder=[15.0],
+                        replications=250)
+        serial = report_to_json(run_smoothing(cfg)["result"])
+        cfg.workers = 2
+        assert report_to_json(run_smoothing(cfg)["result"]) == serial
+
     def test_small_run_reports_rows(self):
         cfg = small_cfg(model=TWO_ALPHA, kind="smoothing",
                         epsilon_ladder=[0.4, 0.2], t_ladder=[15.0],
@@ -227,6 +244,27 @@ class TestSmoothingRun:
         rep = run_smoothing(cfg)
         assert len(rep["result"]["rows"]) == 2
         assert rep["result"]["bound"]["bound_v_inf"] > 0
+
+
+class TestPathExport:
+    def test_exported_paths_describe_themselves(self, tmp_path):
+        from windlab.covmodel import model_from_spec
+        from windlab.pathgen import CirculantSampler, GridSpec, load_path_csv
+        cfg = small_cfg(t_ladder=[10.0, 20.0], replications=5, export_paths=2,
+                        out_dir=str(tmp_path))
+        run_expectation(cfg)
+        names = sorted(p.name for p in (tmp_path / "paths").iterdir())
+        assert names == ["path_T10_00000.csv", "path_T10_00001.csv",
+                         "path_T20_00000.csv", "path_T20_00001.csv"]
+        sampler = CirculantSampler(model_from_spec(IID_BF),
+                                   GridSpec.from_dt(20.0, cfg.dt))
+        for s in (0, 1):
+            path = load_path_csv(str(tmp_path / "paths" / f"path_T20_{s:05d}.csv"))
+            assert path.meta["embedding_length"] == sampler.L
+            assert path.meta["model"] == sampler.sample(cfg.seed, s).meta["model"]
+            ref = sampler.sample(cfg.seed, s)
+            assert np.array_equal(path.x1, ref.x1)
+            assert np.array_equal(path.x2, ref.x2)
 
 
 class TestCli:
@@ -259,6 +297,15 @@ class TestCli:
             "t_ladder": [10.0], "dt": 0.01, "replications": 5, "seed": 1,
             "epsilon_ladder": [0.2, 0.1]}))
         assert cli.main(["smooth", "--config", str(bad_smooth)]) == 2
+
+        # malformed model specs and field types: a message, not a traceback
+        for bad_cfg in (
+                {"model": {"x2": {"family": "ou"}, "cross": "independent"}},
+                {"model": {"x": {"family": "alpha"}, "cross": "iid"}},
+                {"model": IID_BF, "dt": "0.01"}):
+            f = tmp_path / "bad_cfg.json"
+            f.write_text(json.dumps(bad_cfg))
+            assert cli.main(["simulate", "--config", str(f)]) == 2
 
     def test_seed_and_format_overrides(self, tmp_path, capsys):
         from windlab import cli

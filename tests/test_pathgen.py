@@ -52,6 +52,16 @@ class TestReproducibility:
         # synthesis slabs of two streams: [0, 1] and [2]
         monkeypatch.setattr(pathgen, "_SLAB_BYTES", 2 * 32 * (s.L // 2 + 1))
         assert np.array_equal(s.sample_batch(7, [0, 1, 2]), batch)
+        # the other two backends, bitwise, spectral with its derivative
+        for other in (CholeskySampler(regression03, grid),
+                      SpectralSampler(regression03, grid, n_freq=512)):
+            batch = other.sample_batch(7, [2, 0, 1])
+            assert batch.shape == (3, 2, grid.n)
+            for i, k in enumerate([2, 0, 1]):
+                p = other.sample(7, k)
+                assert np.array_equal(batch[i, 0], p.x1)
+                assert np.array_equal(batch[i, 1], p.x2)
+        assert p.dx2 is not None and p.dx2.shape == (grid.n,)
 
 
 class TestCholesky:

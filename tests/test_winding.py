@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from windlab.errors import AliasingError, ParameterError, ResolutionError
-from windlab.pathgen import (GridSpec, SamplePath, export_path_csv,
+from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
+                             SamplePath, SpectralSampler, export_path_csv,
                              load_path_csv, sample_circulant, sample_spectral)
 from windlab.winding import (count_windings, count_windings_arrays,
                              count_windings_refined, smoothed_winding)
@@ -114,32 +115,31 @@ class TestGuards:
 
 class TestRefinedCounting:
     def test_spectral_stability_rate(self, iid_bf):
-        grid = GridSpec.from_dt(20.0, 0.01)
+        s = SpectralSampler(iid_bf, GridSpec.from_dt(20.0, 0.01), n_freq=2048)
         stable = []
         for k in range(250):
-            r = count_windings_refined(iid_bf, grid, seed=5, stream=k,
-                                       backend="spectral")
+            r = count_windings_refined(s, seed=5, stream=k)
             stable.append(r.refinement_stable)
         assert np.mean(stable) > 0.98
 
     def test_coarse_grid_less_stable(self, iid_bf):
+        s_fine = SpectralSampler(iid_bf, GridSpec.from_dt(20.0, 0.01), n_freq=2048)
+        s_coarse = SpectralSampler(iid_bf, GridSpec.from_dt(20.0, 1.0), n_freq=2048)
         fine, coarse = [], []
         for k in range(120):
-            fine.append(count_windings_refined(
-                iid_bf, GridSpec.from_dt(20.0, 0.01), 6, k, "spectral").refinement_stable)
-            coarse.append(count_windings_refined(
-                iid_bf, GridSpec.from_dt(20.0, 1.0), 6, k, "spectral").refinement_stable)
+            fine.append(count_windings_refined(s_fine, 6, k).refinement_stable)
+            coarse.append(count_windings_refined(s_coarse, 6, k).refinement_stable)
         assert np.mean(coarse) < np.mean(fine) - 0.1
 
     def test_cholesky_backend(self, iid_bf):
-        r = count_windings_refined(iid_bf, GridSpec.from_dt(5.0, 0.05),
-                                   seed=3, stream=1, backend="cholesky")
+        s = CholeskySampler(iid_bf, GridSpec.from_dt(5.0, 0.05))
+        r = count_windings_refined(s, seed=3, stream=1)
         assert r.refinement_stable in (True, False)
 
     def test_unknown_backend(self, iid_bf):
         with pytest.raises(ParameterError):
-            count_windings_refined(iid_bf, GridSpec.from_dt(5.0, 0.05), 3,
-                                   backend="circulant")
+            count_windings_refined(
+                CirculantSampler(iid_bf, GridSpec.from_dt(5.0, 0.05)), 3)
 
 
 class TestSmoothedWinding:
