@@ -55,6 +55,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _T_CUT = 1e-3  # below this lag the general integrand is extrapolated
+_TILE_BYTES = 1 << 19  # lags per column tile of _smoothed_corr_grid
 
 
 @dataclass(frozen=True)
@@ -469,11 +470,15 @@ def _bump_autocorr(epsilon: float, n=2001):
 
 
 def _smoothed_corr_grid(model, epsilon, t_grid):
-    """Normalized covariance of X2 * psi_eps on t_grid."""
+    """Normalized covariance of X2 * psi_eps on t_grid.  The (offsets x
+    t_grid) lag matrix is built in column tiles of about _TILE_BYTES, so
+    the working set does not grow with the grid."""
     off, w = _bump_autocorr(epsilon)
-    lags = t_grid[None, :] - off[:, None]
-    r = np.asarray(model.r2(lags), float)
-    r_eps = w @ r
+    cols = max(1, _TILE_BYTES // (8 * off.size))
+    r_eps = np.empty(t_grid.size)
+    for j in range(0, t_grid.size, cols):
+        lags = t_grid[None, j:j + cols] - off[:, None]
+        r_eps[j:j + cols] = w @ np.asarray(model.r2(lags), float)
     r0 = float(w @ np.asarray(model.r2(-off), float))
     return r_eps / r0
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from windlab.harness import (ExperimentConfig, lattice_ks, report_to_csv,
                              run_lemma_check, run_smoothing, run_variance,
                              simulate_windings, write_report)
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 IID_BF = {"x": {"family": "bargmann_fock"}, "cross": "iid"}
 TWO_ALPHA = {"x1": {"family": "alpha", "alpha": 1.2},
              "x2": {"family": "alpha", "alpha": 1.2}, "cross": "independent"}
@@ -132,6 +134,30 @@ class TestVarianceRun:
         assert not rep["result"]["independent"]
         assert row["reference"] == row["v_T_general"]
         assert row["ci99_lo"] <= row["reference"] <= row["ci99_hi"]
+
+    def test_multi_horizon_report_serializes(self):
+        # V_T is a numpy float: comparing its errors must not leave numpy
+        # scalars in the report
+        cfg = small_cfg(kind="variance",
+                        model={"x2": {"family": "bargmann_fock"},
+                               "cross": {"type": "regression", "rho1": 0.3,
+                                         "rz": {"family": "bargmann_fock"}}},
+                        t_ladder=[10.0, 20.0])
+        rep = run_variance(cfg)
+        assert json.loads(report_to_json(rep))["result"]["trend_steps"] == 1
+
+    def test_independent_model_uses_finite_horizon_reference(self):
+        # the shipped iid config's T = 25 row: its CI excludes V_inf but
+        # covers the V_T(25) that a 25-window sample estimates
+        cfg = ExperimentConfig.from_file(
+            os.path.join(CONFIGS, "iid_bargmann_fock_variance.json"))
+        cfg.t_ladder = [25.0]
+        rep = run_variance(cfg)
+        row = rep["result"]["rows"][0]
+        assert rep["result"]["independent"]
+        assert row["reference"] == row["v_T_general"]
+        assert not row["ci99_lo"] <= rep["result"]["v_inf"] <= row["ci99_hi"]
+        assert row["pass"] and rep["pass"]
 
 
 class TestCltRun:

@@ -1,0 +1,91 @@
+"""The dense working sets are sized by bytes, not by counts: the lag tiles
+of the smoothing bound and the path chunks of the harness compute the same
+numbers as one dense block, the oracle MC draws differ from it only in the
+order of the partial sums, and peak memory does not grow with the size of
+the run."""
+import os
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+
+import windlab
+from windlab import harness, moments
+from windlab.covmodel import make_alpha_process, model_from_spec
+from windlab.harness import quadrant_mc, random_psd_quadrant, simulate_windings
+from windlab.pathgen import GridSpec
+
+IID_BF = {"x": {"family": "bargmann_fock"}, "cross": "iid"}
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_smoothed_corr_tiles_equal_dense_formula():
+    model = make_alpha_process(1.2)
+    t_grid = np.linspace(0.01, 5.0, 101)
+    for eps in (0.4, 0.1):
+        off, w = moments._bump_autocorr(eps)
+        cols = moments._TILE_BYTES // (8 * off.size)
+        assert 1 < cols < t_grid.size and t_grid.size % cols
+        dense = (w @ np.asarray(model.r2(t_grid[None, :] - off[:, None]), float)
+                 / float(w @ np.asarray(model.r2(-off), float)))
+        assert np.array_equal(moments._smoothed_corr_grid(model, eps, t_grid), dense)
+
+
+def test_two_alpha_bound_peak_memory():
+    model = make_alpha_process(1.2)
+    peak = _peak_bytes(
+        lambda: moments.variance_bound_two_alpha(model, [0.4, 0.2, 0.1, 0.05]))
+    assert peak < 16 << 20
+
+
+def test_chunk_size_does_not_change_counts(monkeypatch):
+    model = model_from_spec(IID_BF)
+    row = 16 * GridSpec.from_dt(20.0, 0.02).n
+
+    def counts(chunk_bytes, workers):
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+        return simulate_windings(model, 20.0, 0.02, "circulant", 5, 30,
+                                 workers=workers)["n_w"]
+
+    single = counts(row, 1)
+    for chunk_bytes, workers in ((row, 2), (7 * row, 1), (7 * row, 2), (64 * row, 1)):
+        assert np.array_equal(counts(chunk_bytes, workers), single, equal_nan=True)
+
+
+def test_simulate_peak_memory_does_not_grow_with_reps():
+    model = model_from_spec(IID_BF)
+    chunk = 16 * GridSpec.from_dt(20.0, 0.01).n
+    per = harness._CHUNK_BYTES // chunk
+
+    def peak(reps):
+        return _peak_bytes(
+            lambda: simulate_windings(model, 20.0, 0.01, "circulant", 3, reps))
+
+    one, four = peak(per), peak(4 * per)
+    assert four <= one + (1 << 20)
+
+
+def test_quadrant_mc_chunk_changes_only_summation_order():
+    c = random_psd_quadrant(np.random.default_rng(3))
+    m1, se1 = quadrant_mc(c, 100_000, seed=9, chunk=1000)
+    m2, se2 = quadrant_mc(c, 100_000, seed=9, chunk=100_000)
+    assert abs(m1 - m2) <= 1e-15
+    assert abs(se1 - se2) <= 1e-12 * se2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(windlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, windlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
