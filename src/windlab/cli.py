@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .covmodel import check_conditions, classify
 from .errors import WindlabError
@@ -55,15 +56,12 @@ def build_parser():
 
 
 def _load_config(args, kind):
+    """The config file with the command-line overrides applied through
+    dataclasses.replace, so that they are validated like the file."""
     cfg = ExperimentConfig.from_file(args.config)
-    cfg.kind = kind
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+    overrides = {"seed": args.seed, "workers": args.workers, "out_dir": args.out}
+    return replace(cfg, kind=kind,
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def export_chaos_coefficients_csv(rho1: float, order: int, path) -> None:

@@ -422,7 +422,7 @@ def check_conditions(model: CovarianceModel, lag_max=40.0, n_grid=4001) -> Condi
         for k in range(1, 14):
             lo, hi = delta0 * 2.0 ** (-k), delta0
             v, _ = adaptive_quad(
-                lambda t: (model.lambda22 + float(model.dd_r2(t))) / t, lo, hi,
+                lambda t: (model.lambda22 + model.dd_r2(t)) / t, lo, hi,
                 abs_tol=1e-11, rel_tol=1e-11)
             vals.append(v)
         changes = np.abs(np.diff(vals))
@@ -453,9 +453,8 @@ def check_conditions(model: CovarianceModel, lag_max=40.0, n_grid=4001) -> Condi
     have = model.d_r12 is not None and model.d_r2 is not None and model.dd_r2 is not None
     if have:
         def integrand(t):
-            return (float(model.r2(t)) ** 2 + float(model.d_r12(t)) ** 2
-                    + float(model.d_r2(t)) ** 2
-                    + abs(float(model.r1(t)) * float(model.dd_r2(t))))
+            return (model.r2(t) ** 2 + model.d_r12(t) ** 2 + model.d_r2(t) ** 2
+                    + np.abs(model.r1(t) * model.dd_r2(t)))
         v_half, _ = adaptive_quad(integrand, 0.0, lag_max / 2.0, 1e-9, 1e-9)
         v_tail, _ = adaptive_quad(integrand, lag_max / 2.0, lag_max, 1e-9, 1e-9)
         integ_status = "plausible" if v_tail < max(1e-8, 1e-6 * v_half) else "suspect"
@@ -493,7 +492,10 @@ def model_from_spec(spec) -> CovarianceModel:
        "rho1": 0.3, "rz": {"family": "bargmann_fock"}}}
     """
     if isinstance(spec, str):
-        spec = json.loads(spec)
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as e:
+            raise ParameterError(f"model spec is not valid JSON: {e}") from e
     if not isinstance(spec, dict):
         raise ParameterError(f"model spec must be a JSON object, got {spec!r}")
     cross = spec.get("cross", "independent")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from .covmodel import CovarianceModel
 from .errors import (CapabilityError, DegenerateConditioningError, DomainError,
@@ -88,14 +89,16 @@ def orthant_prob(r: float) -> float:
     return 0.25 + math.asin(r) / (2.0 * math.pi)
 
 
-def orthant_angle(r: float) -> float:
+def orthant_angle(r):
     """arccos(sqrt((1-r)/2)) = pi * orthant_prob(r): the same quantity in
-    angle units.  Exposed separately because some derivations carry the
-    angle where a probability is meant; orthant_prob is what the variance
-    formulas consume."""
-    if not -1.0 <= r <= 1.0:
-        raise DomainError(f"correlation must lie in [-1, 1], got {r}")
-    return math.acos(math.sqrt((1.0 - r) / 2.0))
+    angle units, elementwise on arrays.  Exposed separately because some
+    derivations carry the angle where a probability is meant; orthant_prob
+    is what the variance formulas consume."""
+    r = np.asarray(r, float)
+    bad = ~((-1.0 <= r) & (r <= 1.0))
+    if bad.any():
+        raise DomainError(f"correlation must lie in [-1, 1], got {r[bad].flat[0]}")
+    return np.arccos(np.sqrt((1.0 - r) / 2.0))[()]
 
 
 # ----------------------------------------------------------------------
@@ -132,14 +135,15 @@ class QuadrantCorr:
         return self
 
 
-def quadrant_closed(r12, r13, r14, r23, r24, r34) -> float:
-    """The closed form of the module docstring, unvalidated: the caller
-    guarantees a PSD correlation structure with |r34| < 1."""
-    s = math.sqrt(1.0 - r34 * r34)
+def quadrant_closed(r12, r13, r14, r23, r24, r34):
+    """The closed form of the module docstring, unvalidated and elementwise
+    on arrays: the caller guarantees a PSD correlation structure with
+    |r34| < 1."""
+    s = np.sqrt(1.0 - r34 * r34)
     direct = r13 * r24 + r14 * r23
     exchange = r13 * r23 + r14 * r24
     return (r12 / 4.0
-            + r12 * math.asin(r34) / (2.0 * math.pi)
+            + r12 * np.arcsin(r34) / (2.0 * math.pi)
             + (direct - r34 * exchange) / (2.0 * math.pi * s))
 
 
@@ -192,14 +196,14 @@ def quadrant_expectation_series(c: QuadrantCorr, order: int = 80) -> float:
 @dataclass(frozen=True)
 class ConditionalCov:
     """4x4 conditional covariance of (X2'(0), X2'(t), X1(0), X1(t)) given
-    X2(0) = X2(t) = 0."""
+    X2(0) = X2(t) = 0; ``matrix`` has shape lag.shape + (4, 4)."""
 
     matrix: np.ndarray
     lag: float
 
     def correlations(self):
-        sd = np.sqrt(np.diag(self.matrix))
-        return self.matrix / np.outer(sd, sd), sd
+        sd = np.sqrt(np.diagonal(self.matrix, axis1=-2, axis2=-1))
+        return self.matrix / (sd[..., :, None] * sd[..., None, :]), sd
 
 
 def joint_cov_matrix(model: CovarianceModel, t: float) -> np.ndarray:
@@ -223,8 +227,9 @@ def joint_cov_matrix(model: CovarianceModel, t: float) -> np.ndarray:
     return m
 
 
-def conditional_cov(model: CovarianceModel, t: float) -> ConditionalCov:
-    """Closed-form conditional covariance matrix.
+def conditional_cov(model: CovarianceModel, t) -> ConditionalCov:
+    """Closed-form conditional covariance matrix at the lag t, or at every
+    lag of an array t (matrix shape t.shape + (4, 4)).
 
     Entry conventions follow E[X1(t)X2(0)] = r12(t): the (2,3) and (2,4)
     entries carry r12'(-t) and -r12(t) respectively, which reduces to the
@@ -233,30 +238,31 @@ def conditional_cov(model: CovarianceModel, t: float) -> ConditionalCov:
     if not model.x2_differentiable:
         raise CapabilityError("conditional_cov needs a differentiable X2")
     model.require("d_r2", "dd_r2", "d_r12")
-    t = float(t)
-    r2 = float(model.r2(t))
-    q = float(model.omr2sq(t))
-    if abs(r2) >= 1.0 - 1e-14 or q <= 0.0:
+    t = np.asarray(t, float)
+    r2 = np.asarray(model.r2(t), float)
+    q = np.asarray(model.omr2sq(t), float)
+    bad = (np.abs(r2) >= 1.0 - 1e-14) | (q <= 0.0)
+    if bad.any():
         raise DegenerateConditioningError(
-            f"|r2({t})| = {abs(r2)}: conditioning block singular")
-    d_r2, dd_r2, r1 = float(model.d_r2(t)), float(model.dd_r2(t)), float(model.r1(t))
-    r12p, r12m = float(model.r12(t)), float(model.r12(-t))
-    dp, dm, d0 = (float(model.d_r12(t)), float(model.d_r12(-t)),
-                  float(model.d_r12(0.0)))
-    m = np.empty((4, 4))
-    m[0, 0] = m[1, 1] = 1.0 - d_r2 ** 2 / q
-    m[0, 1] = -dd_r2 - r2 * d_r2 ** 2 / q
-    m[0, 2] = -d0 + d_r2 * r12m / q
-    m[0, 3] = -dp - r2 * d_r2 * r12p / q
-    m[1, 2] = -dm + r2 * d_r2 * r12m / q
-    m[1, 3] = -d0 - d_r2 * r12p / q
-    m[2, 2] = 1.0 - r12m ** 2 / q
-    m[2, 3] = r1 + r2 * r12p * r12m / q
-    m[3, 3] = 1.0 - r12p ** 2 / q
+            f"|r2({t[bad].flat[0]})| = {np.abs(r2[bad]).flat[0]}: "
+            "conditioning block singular")
+    d_r2, dd_r2, r1 = model.d_r2(t), model.dd_r2(t), model.r1(t)
+    r12p, r12m = model.r12(t), model.r12(-t)
+    dp, dm, d0 = model.d_r12(t), model.d_r12(-t), float(model.d_r12(0.0))
+    m = np.empty(t.shape + (4, 4))
+    m[..., 0, 0] = m[..., 1, 1] = 1.0 - d_r2 ** 2 / q
+    m[..., 0, 1] = -dd_r2 - r2 * d_r2 ** 2 / q
+    m[..., 0, 2] = -d0 + d_r2 * r12m / q
+    m[..., 0, 3] = -dp - r2 * d_r2 * r12p / q
+    m[..., 1, 2] = -dm + r2 * d_r2 * r12m / q
+    m[..., 1, 3] = -d0 - d_r2 * r12p / q
+    m[..., 2, 2] = 1.0 - r12m ** 2 / q
+    m[..., 2, 3] = r1 + r2 * r12p * r12m / q
+    m[..., 3, 3] = 1.0 - r12p ** 2 / q
     for i in range(4):
         for j in range(i):
-            m[i, j] = m[j, i]
-    return ConditionalCov(matrix=m, lag=t)
+            m[..., i, j] = m[..., j, i]
+    return ConditionalCov(matrix=m, lag=t[()])
 
 
 def generic_regression(joint: np.ndarray) -> ConditionalCov:
@@ -305,7 +311,7 @@ def indicator_coefficients(order: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _gh_nodes(n: int):
-    x, w = np.polynomial.hermite_e.hermegauss(n)
+    x, w = hermegauss(n)
     return x, w / w.sum()
 
 
@@ -313,13 +319,21 @@ def _phi(x):
     return np.exp(-0.5 * x * x) / SQ2PI
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(x):
+    """Standard normal CDF 0.5 erfc(-x/sqrt(2)), elementwise on an array
+    (the erfc form keeps the lower tail accurate)."""
+    return 0.5 * _erfc(np.asarray(x, float) * -math.sqrt(0.5)).astype(float)
+
+
 def _upper_hermite_integral(k: int, a: np.ndarray) -> np.ndarray:
     """int_a^inf H_k(z) phi(z) dz: equals H_{k-1}(a) phi(a) for k >= 1 and
     the Gaussian upper tail for k = 0 (exact; removes the indicator kink
     from the d-coefficient quadrature)."""
     if k == 0:
-        from scipy.special import ndtr
-        return 1.0 - ndtr(a)
+        return 1.0 - _ndtr(a)
     return hermite(k - 1, a) * _phi(a)
 
 
@@ -353,10 +367,9 @@ class ChaosCoefficients:
 def g_norm_sq(rho1: float) -> float:
     """||g||^2 = E[X'^2 1{rho1 X' + rho2 Z >= 0}] by Gauss-Hermite
     quadrature (exact inner integral)."""
-    from scipy.special import ndtr
     rho2 = math.sqrt(1.0 - rho1 ** 2)
     x, w = _gh_nodes(256)
-    return float(np.sum(w * x * x * ndtr(rho1 * x / rho2)))
+    return float(np.sum(w * x * x * _ndtr(rho1 * x / rho2)))
 
 
 def chaos_coefficients(rho1: float, order: int) -> ChaosCoefficients:

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.quantile imports it on first call)
 
 from .covmodel import CovarianceModel, ModelClass, classify, model_from_spec
 from .errors import AliasingError, ConfigError, WindlabError
@@ -73,27 +74,53 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     KINDS = ("expectation", "variance", "clt", "lemma_check", "smoothing")
-    INT_FIELDS = ("replications", "seed", "workers", "n_freq", "lemma_mc_samples",
-                  "lemma_random_sets", "lemma_spot_cases", "export_paths")
+    BACKENDS = ("circulant", "spectral", "cholesky")
+    # the integer fields and their least values
+    INT_FIELDS = {"replications": 1, "seed": 0, "workers": 1, "n_freq": 256,
+                  "lemma_mc_samples": 2, "lemma_random_sets": 0,
+                  "lemma_spot_cases": 0, "export_paths": 0}
 
     def __post_init__(self):
-        for name in self.INT_FIELDS:
+        for name, least in self.INT_FIELDS.items():
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
+            if v < least:
+                raise ConfigError(f"{name} must be >= {least}, got {v}")
+        for name in ("correlations_file", "out_dir"):
+            v = getattr(self, name)
+            if v is not None and not isinstance(v, str):
+                raise ConfigError(f"{name} must be a path or null, got {v!r}")
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise ConfigError(f"workers must be <= {cpus} (the CPU count), "
+                              f"got {self.workers}")
+        if self.kind not in self.KINDS:
+            raise ConfigError(f"kind must be one of {self.KINDS}, got '{self.kind}'")
+        if self.backend not in self.BACKENDS:
+            raise ConfigError(
+                f"backend must be one of {self.BACKENDS}, got {self.backend!r}")
         if not isinstance(self.t_ladder, list) or not self.t_ladder:
             raise ConfigError("t_ladder must be a non-empty list")
         for v in [self.dt, *self.t_ladder]:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"dt and t_ladder entries must be numbers, got {v!r}")
-        if self.kind not in self.KINDS:
-            raise ConfigError(f"kind must be one of {self.KINDS}, got '{self.kind}'")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if list(self.t_ladder) != sorted(set(self.t_ladder)):
-            raise ConfigError("t_ladder must be strictly increasing")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if min(self.t_ladder) <= 0:
+            raise ConfigError(f"every T in t_ladder must be positive, got {self.t_ladder}")
+        if list(self.t_ladder) != sorted(set(self.t_ladder)):
+            raise ConfigError("t_ladder must be strictly increasing")
+        eps = self.epsilon_ladder
+        if eps is not None:
+            if (not isinstance(eps, list) or not eps
+                    or any(isinstance(e, bool) or not isinstance(e, (int, float))
+                           for e in eps)):
+                raise ConfigError(
+                    f"epsilon_ladder must be a non-empty list of numbers, got {eps!r}")
+            if min(eps) <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
+                raise ConfigError("epsilon_ladder must be positive and strictly "
+                                  f"decreasing, got {eps}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)

@@ -115,21 +115,21 @@ def expectation_rate(model: CovarianceModel) -> float:
 # ----------------------------------------------------------------------
 def _minus_f_prime(model, t):
     """-(d/dt)[r2'/sqrt(1-r2^2)] (the signed two-point crossing kernel)."""
-    d = float(model.d_r2(t))
-    dd = float(model.dd_r2(t))
-    s = float(model.omr2sq(t))
-    r2 = float(model.r2(t))
-    return -(dd * s + r2 * d * d) / s ** 1.5
+    d = model.d_r2(t)
+    s = model.omr2sq(t)
+    return -(model.dd_r2(t) * s + model.r2(t) * d * d) / s ** 1.5
 
 
 def _i_integrand(model):
+    """t -> r1' r2'/sqrt((1-r1^2)(1-r2^2)), on a float or an array."""
     def g(t):
-        s = float(model.omr1sq(t)) * float(model.omr2sq(t))
-        if s <= 0.0:
-            # only reachable when 1 - r^2 underflows (t below ~1e-150);
-            # the integrable-singularity mass there is far below eps
-            return 0.0
-        return float(model.d_r1(t)) * float(model.d_r2(t)) / math.sqrt(s)
+        s = np.asarray(model.omr1sq(t) * model.omr2sq(t), float)
+        # s = 0 only when 1 - r^2 underflows (t below ~1e-150); the
+        # integrable-singularity mass there is far below eps
+        ok = s > 0.0
+        with np.errstate(invalid="ignore"):
+            out = model.d_r1(t) * model.d_r2(t) / np.sqrt(np.where(ok, s, 1.0))
+        return np.where(ok, out, 0.0)[()]
     return g
 
 
@@ -239,12 +239,12 @@ def _ec_bracket(model, rho1_sq):
     """bracket(t) = 2 pi E_c(t)/sqrt(1 - r2^2(t)) - r12'(0)^2."""
 
     def bracket(t):
-        cc = conditional_cov(model, t)
-        corr, sd = cc.correlations()
-        r34 = min(max(corr[2, 3], -1.0 + 1e-15), 1.0 - 1e-15)
-        ec = sd[0] * sd[1] * quadrant_closed(corr[0, 1], corr[0, 2], corr[0, 3],
-                                             corr[1, 2], corr[1, 3], r34)
-        return TWO_PI * ec / math.sqrt(float(model.omr2sq(t))) - rho1_sq
+        corr, sd = conditional_cov(model, t).correlations()
+        r34 = np.clip(corr[..., 2, 3], -1.0 + 1e-15, 1.0 - 1e-15)
+        ec = sd[..., 0] * sd[..., 1] * quadrant_closed(
+            corr[..., 0, 1], corr[..., 0, 2], corr[..., 0, 3],
+            corr[..., 1, 2], corr[..., 1, 3], r34)
+        return TWO_PI * ec / np.sqrt(model.omr2sq(t)) - rho1_sq
 
     return bracket
 
@@ -328,7 +328,7 @@ def variance_WT_route(model: CovarianceModel, T: float,
         raise ParameterError("T must be positive")
 
     def fprime_arccos(t):
-        return -_minus_f_prime(model, t) * orthant_angle(float(model.r1(t)))
+        return -_minus_f_prime(model, t) * orthant_angle(model.r1(t))
 
     W_T = -adaptive_quad(fprime_arccos, 1e-9, T, q.abs_tol, q.rel_tol)[0]
     w_t = adaptive_quad(lambda t: t * fprime_arccos(t), 1e-9, T,
@@ -378,8 +378,7 @@ def chaos_projection_variances(model: CovarianceModel,
                      "H2(X2) contribution of the second chaos")
 
     def g2(t):
-        return (float(model.d_r1(t)) * float(model.d_r2(t))
-                + float(model.d_r12(t)) * float(model.d_r12(-t)))
+        return model.d_r1(t) * model.d_r2(t) + model.d_r12(t) * model.d_r12(-t)
 
     head, e1 = adaptive_quad(g2, 0.0, 1.0, q.abs_tol, q.rel_tol)
     tail, e2 = integrate_to_infinity(g2, 1.0, q.abs_tol, q.rel_tol,
@@ -390,14 +389,14 @@ def chaos_projection_variances(model: CovarianceModel,
     # Plancherel twin: (1/4pi) int lam^2 f1 f2 + cross part when available
     if model.f1 is not None and model.f2 is not None:
         def s2(lam):
-            return lam * lam * float(model.f1(lam)) * float(model.f2(lam))
+            return lam * lam * model.f1(lam) * model.f2(lam)
         sp_head, _ = adaptive_quad(s2, 0.0, 5.0, q.abs_tol, q.rel_tol)
         sp_tail, _ = integrate_to_infinity(s2, 5.0, q.abs_tol, q.rel_tol)
         spectral = (sp_head + sp_tail) / (4.0 * math.pi)
         rho1 = model.meta.get("rho1")
         if model.meta.get("construction") == "regression" and rho1 is not None:
             def s2c(lam):
-                return lam ** 4 * float(model.f2(lam)) ** 2
+                return lam ** 4 * model.f2(lam) ** 2
             c_head, _ = adaptive_quad(s2c, 0.0, 5.0, q.abs_tol, q.rel_tol)
             c_tail, _ = integrate_to_infinity(s2c, 5.0, q.abs_tol, q.rel_tol)
             spectral += rho1 ** 2 * (c_head + c_tail) / (4.0 * math.pi)
@@ -412,8 +411,8 @@ def chaos_projection_variances(model: CovarianceModel,
         notes.append("var_I4 skipped: r1 not twice differentiable")
     else:
         def g4(t):
-            return (float(model.r1(t)) ** 3 * (-float(model.dd_r2(t)))
-                    + float(model.r2(t)) ** 3 * (-float(model.dd_r1(t))))
+            return (model.r1(t) ** 3 * -model.dd_r2(t)
+                    + model.r2(t) ** 3 * -model.dd_r1(t))
         h4, e4a = adaptive_quad(g4, 0.0, 1.0, q.abs_tol, q.rel_tol)
         t4, e4b = integrate_to_infinity(g4, 1.0, q.abs_tol, q.rel_tol,
                                         t_max=q.t_max or 25.0)

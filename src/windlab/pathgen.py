@@ -24,11 +24,15 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.fft import next_fast_len
+# numpy imports these subpackages on first use; they load with the module
+# so that the one-time import stays out of the first sample_batch call
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .covmodel import CovarianceModel, ModelClass, classify
 from .errors import (CapabilityError, ModelError, ParameterError,
                      ResolutionError, SamplerError)
+from .quadrature import adaptive_quad
 
 __all__ = [
     "GridSpec",
@@ -98,6 +102,21 @@ class SamplePath:
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2 ** 64 - 1),
                                                      stream & (2 ** 64 - 1)]))
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n: the real-FFT lengths
+    pocketfft transforms fastest."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 reaching n
+            best = min(best, p35 << max(-(-n // p35) - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def model_spec_hash(model: CovarianceModel) -> str:
@@ -249,11 +268,9 @@ class SpectralSampler(_Sampler):
 
     def _default_lambda_max(self):
         # expand until the tail mass of f2 is negligible
-        from .quadrature import adaptive_quad
         lam = 8.0
         for _ in range(8):
-            mass, _ = adaptive_quad(lambda x: float(self.model.f2(x)), 0.0, lam,
-                                    1e-10, 1e-10)
+            mass, _ = adaptive_quad(self.model.f2, 0.0, lam, 1e-10, 1e-10)
             if abs(1.0 - mass) < 1e-6:
                 return lam
             lam *= 2.0
@@ -341,7 +358,7 @@ class CirculantSampler(_Sampler):
                 "pad": self.pad}
 
     def _build(self, pad) -> bool:
-        self.L = L = next_fast_len(max(2 * (self.grid.n - 1), 2) * pad, real=True)
+        self.L = L = next_fast_len(max(2 * (self.grid.n - 1), 2) * pad)
         k = np.arange(L)
         tau = np.where(k <= L // 2, k, k - L) * self.grid.dt
         # half-spectrum bins 0..L//2; all but bin 0 and an even L's Nyquist

@@ -1,17 +1,19 @@
-"""Quadrature utilities: adaptive Gauss-Kronrod wrapper, tanh-sinh rule,
+"""Quadrature utilities: adaptive Gauss-Kronrod rule, tanh-sinh rule,
 and truncated integrals over [0, inf).
 
-Every routine returns ``(value, error_estimate)``.  The tanh-sinh rule is
-an independent second opinion used wherever a value is pinned from the
+Every routine returns ``(value, error_estimate)``.  ``adaptive_quad`` calls
+its integrand on 1-d arrays of nodes; ``tanh_sinh`` calls it on floats, so
+integrands shared by both accept either.  The tanh-sinh rule is an
+independent second opinion used wherever a value is pinned from the
 agreement of two rules; it also handles integrable endpoint singularities
 (t^a with a > -1) without help.
 """
 from __future__ import annotations
 
+import heapq
 import math
-import warnings
 
-from scipy import integrate
+import numpy as np
 
 from .errors import DivergenceError
 
@@ -21,15 +23,81 @@ __all__ = [
     "integrate_to_infinity",
 ]
 
+# QUADPACK qk21 (Piessens et al. 1983): 21-point Kronrod abscissae on
+# [0, 1) in decreasing order, their weights, and the weights of the
+# embedded 10-point Gauss rule (its nodes are every second abscissa)
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208292085326, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# all 21 nodes on [-1, 1] with Kronrod and (zero-padded) Gauss weights
+_X21 = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_WK21 = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_WG21 = np.zeros(21)
+_WG21[1:10:2] = _WG
+_WG21[11:20:2] = _WG[::-1]
+_EPS = np.finfo(float).eps
+_MAX_PANELS = 400
 
-def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-10, points=None):
-    """Adaptive Gauss-Kronrod integration of f over [a, b]."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=400, points=points
-        )
-    return val, err
+
+def _gk21(f, a, b):
+    """The qk21 rule on the panels [a_i, b_i] (1-d arrays), all nodes in one
+    call of f.  Returns (values, error estimates) per panel."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    x = centr[:, None] + hlgth[:, None] * _X21
+    fv = np.broadcast_to(np.asarray(f(x.ravel()), float), (x.size,)).reshape(x.shape)
+    resk, resg = fv @ _WK21, fv @ _WG21
+    dh = np.abs(hlgth)
+    resabs = np.abs(fv) @ _WK21 * dh
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WK21 * dh
+    err = np.abs((resk - resg) * hlgth)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return resk * hlgth, np.maximum(50.0 * _EPS * resabs, err)
+
+
+def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-10):
+    """Globally adaptive Gauss-Kronrod integration of f over [a, b].
+
+    f takes a 1-d array of nodes and returns an array of the same shape.
+    The panel with the largest error estimate is bisected (both halves in
+    one call of f) until the summed error is at most
+    max(abs_tol, rel_tol |I|), the rule holds _MAX_PANELS panels, or the
+    worst panel is too narrow to split in floating point.
+    """
+    a, b = float(a), float(b)
+    val, err = _gk21(f, np.array([a]), np.array([b]))
+    # heap of (-error, left, right, value); the totals are kept alongside
+    panels = [(-err[0], a, b, val[0])]
+    total, total_err = val[0], err[0]
+    while total_err > max(abs_tol, rel_tol * abs(total)) and len(panels) < _MAX_PANELS:
+        e, lo, hi, v = panels[0]
+        mid = 0.5 * (lo + hi)
+        if not (min(lo, hi) < mid < max(lo, hi)):
+            break
+        heapq.heappop(panels)
+        vals, errs = _gk21(f, np.array([lo, mid]), np.array([mid, hi]))
+        for left, right, vv, ee in zip((lo, mid), (mid, hi), vals, errs):
+            heapq.heappush(panels, (-ee, left, right, vv))
+        total += vals[0] + vals[1] - v
+        total_err += errs[0] + errs[1] + e
+    return (math.fsum(p[3] for p in panels),
+            math.fsum(-p[0] for p in panels))
 
 
 def tanh_sinh(f, a, b, tol=1e-12, max_level=12):

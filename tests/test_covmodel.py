@@ -54,7 +54,7 @@ def test_spectral_density_reproduces_covariance():
     # spectrum has a 1/lam^2 tail, so use the oscillatory-weight rule
     from scipy import integrate
     for fam in (bargmann_fock(), ornstein_uhlenbeck()):
-        mass, _ = adaptive_quad(lambda l: float(fam.f(l)), 0.0, 400.0)
+        mass, _ = adaptive_quad(fam.f, 0.0, 400.0)
         tail_bound = 2.0 / (math.pi * 400.0)  # worst case: the OU tail
         assert abs(mass - 1.0) < tail_bound + 1e-9
         for t in (0.5, 1.0, 2.5, 5.0):

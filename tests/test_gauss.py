@@ -75,6 +75,16 @@ class TestOrthant:
         for rho in (-0.9, 0.0, 0.4, 1.0):
             assert orthant_angle(rho) == pytest.approx(math.pi * orthant_prob(rho), abs=1e-12)
 
+    def test_angle_on_arrays(self):
+        r = np.array([[-1.0, -0.3], [0.4, 1.0]])
+        got = orthant_angle(r)
+        assert got.shape == r.shape
+        assert np.array_equal(got, [[orthant_angle(float(v)) for v in row] for row in r])
+        with pytest.raises(DomainError):
+            orthant_angle(np.array([0.2, 1.0 + 1e-12]))
+        with pytest.raises(DomainError):
+            orthant_angle(np.array([np.nan]))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             orthant_prob(1.2)

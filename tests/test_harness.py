@@ -333,6 +333,50 @@ class TestCli:
             f.write_text(json.dumps(bad_cfg))
             assert cli.main(["simulate", "--config", str(f)]) == 2
 
+    @pytest.mark.parametrize("command, fields, flags, message", [
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": 0.4}, [], "epsilon_ladder"),
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [0.4, "x"]}, [],
+         "epsilon_ladder"),
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": []}, [], "epsilon_ladder"),
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [0.1, 0.2]}, [],
+         "decreasing"),
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [0.4, -0.1]}, [],
+         "positive"),
+        ("check", {"lemma_mc_samples": 0}, [], "lemma_mc_samples"),
+        ("simulate", {"workers": 0}, [], "workers"),
+        ("simulate", {"workers": -5}, [], "workers"),
+        ("simulate", {}, ["--workers", "0"], "workers"),
+        ("simulate", {}, ["--workers", "3"], "CPU count"),
+        ("check", {"lemma_spot_cases": -1}, [], "lemma_spot_cases"),
+        ("simulate", {"export_paths": -1}, [], "export_paths"),
+        ("moments", {"backend": "foo"}, [], "backend"),
+        ("simulate", {"t_ladder": [-5]}, [], "positive"),
+        ("simulate", {"n_freq": 100}, [], "n_freq"),
+        ("check", {}, ["--seed", "-1"], "seed"),
+        ("simulate", {"model": "not json"}, [], "model spec"),
+        ("simulate", {"out_dir": 5}, [], "out_dir"),
+        ("check", {"correlations_file": 5}, [], "correlations_file"),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys,
+                                command, fields, flags, message):
+        from windlab import cli, harness
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a rejected config started a worker pool")
+
+        # two CPUs, whatever the machine: the worker bound is checked
+        # without starting a thread
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_threads)
+        cfg = {"model": IID_BF, "t_ladder": [5.0], "dt": 0.05,
+               "replications": 10, **fields}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_seed_and_format_overrides(self, tmp_path, capsys):
         from windlab import cli
         cfg_file = tmp_path / "cfg.json"
