@@ -20,10 +20,11 @@ import numpy as np
 import numpy.ma  # noqa: F401  (np.quantile imports it on first call)
 
 from .covmodel import CovarianceModel, ModelClass, classify, model_from_spec
-from .errors import AliasingError, ConfigError, WindlabError
-from .gauss import (QuadrantCorr, conditional_cov, generic_regression,
-                    joint_cov_matrix, quadrant_expectation,
-                    quadrant_expectation_series)
+from .errors import (AliasingError, ConfigError, DomainError,
+                     SingularityError, WindlabError)
+from .gauss import (_PSD_TOL, QuadrantCorr, conditional_cov,
+                    generic_regression, joint_cov_matrix,
+                    quadrant_expectation, quadrant_expectation_series)
 from .moments import (expectation_rate, variance_bound_two_alpha,
                       variance_rate_general, variance_rate_independent)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec,
@@ -387,20 +388,50 @@ def random_psd_quadrant(rng, max_rho34=0.9) -> QuadrantCorr:
                                 rho23=r[1, 2], rho24=r[1, 3], rho34=r[2, 3])
 
 
-def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int, chunk=1 << 16):
-    """Plain MC estimate of E[X1 X2 1{X3>0} 1{X4>0}]; returns (mean, se).
+def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int, chunk=1 << 17):
+    """Conditional MC estimate of E[X1 X2 1{X3>0} 1{X4>0}]; returns (mean, se).
+
+    With A, B, C the (12), (12)x(34) and (34) blocks of ``c.matrix()``,
+    L the Cholesky factor of C and W = L^-1 B^T, draw (X3, X4) = L z from
+    two standard normals z.  Gaussian conditioning gives
+    E[X1 X2 | X3, X4] = mu1 mu2 + S12 exactly, with mu = B C^-1 (X3, X4)
+    = W^T z and the Schur complement S = A - W^T W, so the estimator
+    averages 1{X3>0, X4>0} (mu1 mu2 + S12): the plain four-normal product
+    with X1 X2 integrated out, which cannot raise the variance.
+
     Normals are drawn ``chunk`` rows at a time (2 MiB at the default); the
-    draws do not depend on ``chunk``, only the order of the partial sums."""
+    draws do not depend on ``chunk``, only the order of the partial sums.
+    A singular C raises SingularityError; |rho34| > 1 or an S that is not
+    positive semidefinite raises DomainError.
+    """
+    if abs(c.rho34) > 1.0:
+        raise DomainError(f"correlation must lie in [-1, 1], got rho34 = {c.rho34}")
+    r = c.matrix()
+    try:
+        chol = np.linalg.cholesky(r[2:, 2:])
+    except np.linalg.LinAlgError:
+        raise SingularityError(
+            f"(X3, X4) block is singular (rho34 = {c.rho34})") from None
+    w = np.linalg.solve(chol, r[2:, :2])
+    s = r[:2, :2] - w.T @ w
+    emin = float(np.linalg.eigvalsh(s).min())
+    if emin < _PSD_TOL:
+        raise DomainError("conditional covariance of (X1, X2) given (X3, X4) is "
+                          f"not positive semidefinite (min eig {emin:.2e})")
+    s12 = float(s[0, 1])
     rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(c.matrix() + 1e-14 * np.eye(4))
     tot = tot2 = 0.0
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        z = rng.standard_normal((m, 4)) @ chol.T
-        y = z[:, 0] * z[:, 1] * (z[:, 2] > 0.0) * (z[:, 3] > 0.0)
+        z = rng.standard_normal((m, 2))
+        # X3 = L11 z1 with L11 > 0 and X4 = L21 z1 + L22 z2; the draws
+        # outside the quadrant add 0 to both sums
+        z = z[(z[:, 0] > 0.0) & (z @ chol[1] > 0.0)]
+        mu = z @ w
+        y = mu[:, 0] * mu[:, 1] + s12
         tot += float(y.sum())
-        tot2 += float((y * y).sum())
+        tot2 += float(y @ y)
         done += m
     mean = tot / n_samples
     se = math.sqrt(max(tot2 / n_samples - mean ** 2, 0.0) / n_samples)
@@ -420,8 +451,9 @@ def _builtin_differentiable_models():
 
 
 def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
-    """Oracle equivalence suite: closed form vs diagram series vs 4-D MC,
-    and closed-form conditional covariance vs Schur regression.
+    """Oracle equivalence suite: closed form vs diagram series vs
+    conditional MC, and closed-form conditional covariance vs Schur
+    regression.
 
     ``closed_form_override`` substitutes the closed-form evaluator; it
     exists so the suite can be mutation-tested (a deliberately wrong
@@ -445,9 +477,11 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
     for i in range(cfg.lemma_spot_cases):
         c = random_psd_quadrant(rng)
         mc, se = quadrant_mc(c, cfg.lemma_mc_samples, seed=cfg.seed + 1000 + i)
-        z = abs(closed(c) - mc) / se if se > 0 else 0.0
+        cf = closed(c)
+        # a zero SE (all draws equal) agrees only with an exact match
+        z = abs(cf - mc) / se if se > 0 else (0.0 if cf == mc else math.inf)
         worst_z = max(worst_z, z)
-        spot_rows.append({"rho34": c.rho34, "closed": closed(c), "mc": mc,
+        spot_rows.append({"rho34": c.rho34, "closed": cf, "mc": mc,
                           "mc_se": se, "z": z})
     checks["closed_vs_mc"] = {
         "cases": cfg.lemma_spot_cases, "samples": cfg.lemma_mc_samples,

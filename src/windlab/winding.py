@@ -92,7 +92,7 @@ def count_windings_arrays(x1: np.ndarray, x2: np.ndarray) -> WindingResult:
     return WindingResult(
         n_up=n_up, n_down=n_down, n_w=n_w, delta_arg=delta_arg,
         agreement=abs(delta_arg / (2.0 * math.pi) - n_w) < 1.0,
-        min_radius=float(np.min(np.hypot(x1, x2))),
+        min_radius=math.sqrt(float(np.min(x1 * x1 + x2 * x2))),
     )
 
 

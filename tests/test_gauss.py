@@ -18,6 +18,18 @@ from windlab.harness import quadrant_mc, random_psd_quadrant
 TWO_PI = 2.0 * math.pi
 
 
+def _degenerate_pair(rho):
+    """X3 = X1, X4 = X2 collapses E[X1 X2 1{X3>0} 1{X4>0}] to
+    E[XY 1{X>0} 1{Y>0}], whose closed form is known independently."""
+    c = QuadrantCorr(rho12=rho, rho13=1.0 - 1e-12, rho14=rho,
+                     rho23=rho, rho24=1.0 - 1e-12, rho34=rho)
+    return c, (math.sqrt(1 - rho * rho) / TWO_PI
+               + rho * (0.25 + math.asin(rho) / TWO_PI))
+
+
+DEGENERATE_PAIRS = [_degenerate_pair(rho) for rho in (-0.5, 0.2, 0.7)]
+
+
 class TestHermite:
     def test_low_orders(self):
         assert hermite(2, 3.0) == 8.0            # x^2 - 1
@@ -121,12 +133,7 @@ class TestQuadrantExpectation:
             assert abs(quadrant_expectation(c) - mc) <= 4.0 * se
 
     def test_degenerate_pair_identity(self):
-        # X3 = X1, X4 = X2 collapses to E[XY 1{X>0} 1{Y>0}], known closed form
-        for rho in (-0.5, 0.2, 0.7):
-            c = QuadrantCorr(rho12=rho, rho13=1.0 - 1e-12, rho14=rho,
-                             rho23=rho, rho24=1.0 - 1e-12, rho34=rho)
-            expect = (math.sqrt(1 - rho * rho) / TWO_PI
-                      + rho * (0.25 + math.asin(rho) / TWO_PI))
+        for c, expect in DEGENERATE_PAIRS:
             assert quadrant_expectation(c) == pytest.approx(expect, abs=1e-9)
 
 
@@ -170,6 +177,44 @@ class TestQuadrantSeries:
                      + (rho12 * rho34 + rho13 * rho24) / TWO_PI)
             ratios.append(abs(quadrant_expectation(c) - first) / rho34 ** 2)
         assert max(ratios) < 1.0  # bounded remainder/rho34^2
+
+
+class TestQuadrantMC:
+    def test_conditional_se_at_most_plain_se(self):
+        # the plain four-normal product, kept here only as the reference
+        # the conditional estimator must not lose to at the same n
+        n = 200_000
+        rng = np.random.default_rng(11)
+        for i in range(4):
+            c = random_psd_quadrant(rng)
+            z = (np.random.default_rng(50 + i).standard_normal((n, 4))
+                 @ np.linalg.cholesky(c.matrix()).T)
+            y = z[:, 0] * z[:, 1] * (z[:, 2] > 0.0) * (z[:, 3] > 0.0)
+            plain_se = float(np.std(y) / math.sqrt(n))
+            _, se = quadrant_mc(c, n, seed=50 + i)
+            assert 0.0 < se <= plain_se
+
+    def test_independent_of_the_formulas_it_checks(self):
+        names = set(quadrant_mc.__code__.co_names)
+        assert not names & {"orthant_angle", "quadrant_closed",
+                            "quadrant_expectation",
+                            "quadrant_expectation_series"}
+
+    def test_degenerate_pair_identity(self):
+        for i, (c, expect) in enumerate(DEGENERATE_PAIRS):
+            mc, se = quadrant_mc(c, 400_000, seed=60 + i)
+            assert abs(mc - expect) <= 4.0 * se
+
+    def test_singular_block_raises(self):
+        with pytest.raises(SingularityError):
+            quadrant_mc(QuadrantCorr(0.1, 0, 0, 0, 0, 1.0), 100, seed=1)
+
+    @pytest.mark.parametrize("c", [QuadrantCorr(0.9, 0.9, 0, 0, 0, -0.9),
+                                   QuadrantCorr(1.5, 0, 0, 0, 0, 0.2),
+                                   QuadrantCorr(0.1, 0, 0, 0, 0, 1.2)])
+    def test_invalid_correlation_raises_domain_error(self, c):
+        with pytest.raises(DomainError):
+            quadrant_mc(c, 100, seed=1)
 
 
 class TestConditionalCov:

@@ -210,6 +210,20 @@ class TestLemmaCheck:
         rep = run_lemma_check(self._cfg(), closed_form_override=wrong)
         assert not rep["pass"]
         assert not rep["result"]["checks"]["closed_vs_series"]["pass"]
+        assert not rep["result"]["checks"]["closed_vs_mc"]["pass"]
+
+    def test_zero_se_fails_unless_exact(self):
+        # two draws, both outside the quadrant: mc = 0 with se = 0, which
+        # must not read as agreement with a nonzero closed form
+        cfg = small_cfg(kind="lemma_check", seed=1, lemma_mc_samples=2,
+                        lemma_spot_cases=1, lemma_random_sets=0)
+        mc = run_lemma_check(cfg)["result"]["checks"]["closed_vs_mc"]
+        row = mc["rows"][0]
+        assert row["mc_se"] == 0.0 and row["closed"] != row["mc"]
+        assert row["z"] == math.inf
+        assert not mc["pass"]
+        exact = run_lemma_check(cfg, closed_form_override=lambda c: 0.0)
+        assert exact["result"]["checks"]["closed_vs_mc"]["rows"][0]["z"] == 0.0
 
     def test_series_gate_holds_on_a_far_tail_seed(self):
         # seed whose 500 random sets include one where the order-80 series
