@@ -79,8 +79,6 @@ class CovFamily:
     # 1 - r(t)^2 free of cancellation (expm1-based for the exp families);
     # the variance integrands divide by it arbitrarily close to t = 0
     one_minus_r_sq: Optional[Callable] = None
-    # local regularity exponent: r = 1 - C|t|^a + o(|t|^a) near 0
-    alpha_at_zero: float = 2.0
 
 
 def bargmann_fock() -> CovFamily:
@@ -113,7 +111,6 @@ def ornstein_uhlenbeck() -> CovFamily:
         differentiable=False,
         params={"alpha": 1.0},
         one_minus_r_sq=lambda t: -np.expm1(-2.0 * np.abs(np.asarray(t, float))),
-        alpha_at_zero=1.0,
     )
 
 
@@ -144,7 +141,6 @@ def alpha_family(alpha: float) -> CovFamily:
         name="alpha", r=r, d_r=d_r, differentiable=False,
         params={"alpha": alpha},
         one_minus_r_sq=lambda t: -np.expm1(-2.0 * np.abs(np.asarray(t, float)) ** alpha),
-        alpha_at_zero=alpha,
     )
 
 
@@ -193,18 +189,16 @@ def rescale_family(fam: CovFamily) -> CovFamily:
         differentiable=True, lambda2=1.0,
         params={**fam.params, "time_scale": s},
         one_minus_r_sq=wrap(fam.one_minus_r_sq, 0),
-        alpha_at_zero=fam.alpha_at_zero,
     )
 
 
-def numeric_diff(f, t, order=1, h=None):
+def numeric_diff(f, t, order=1):
     """Central difference with one Richardson step; returns (value, error).
 
-    Default steps balance truncation against roundoff: 1e-5 for first
+    The steps balance truncation against roundoff: 1e-5 for first
     derivatives, 1e-4 for second (the second difference amplifies rounding
     by 4 eps/h^2)."""
-    if h is None:
-        h = 1e-5 if order == 1 else 1e-4
+    h = 1e-5 if order == 1 else 1e-4
     t = float(t)
 
     def d1(hh):
@@ -238,7 +232,6 @@ class CovarianceModel:
     dd_r2: Optional[Callable] = None
     d_r12: Optional[Callable] = None
     dd_r1: Optional[Callable] = None
-    dd_r12: Optional[Callable] = None
     f1: Optional[Callable] = None
     f2: Optional[Callable] = None
     x2_differentiable: bool = False
@@ -295,7 +288,7 @@ def make_independent_model(fam1: CovFamily, fam2: CovFamily) -> CovarianceModel:
     return CovarianceModel(
         r1=fam1.r, r2=fam2.r, r12=_ZERO,
         d_r1=fam1.d_r, d_r2=fam2.d_r, dd_r2=fam2.dd_r,
-        d_r12=_ZERO, dd_r1=fam1.dd_r, dd_r12=_ZERO,
+        d_r12=_ZERO, dd_r1=fam1.dd_r,
         f1=fam1.f, f2=fam2.f,
         x2_differentiable=fam2.differentiable,
         lambda22=fam2.lambda2,
@@ -346,7 +339,6 @@ def make_regression_model(fam2: CovFamily, rz: CovFamily, rho1: float) -> Covari
         dd_r1 = lambda t: -p1sq * fam2.d4_r(t) + p2sq * rz.dd_r(t)
     r12 = lambda t: rho1 * fam2.d_r(t)
     d_r12 = lambda t: rho1 * fam2.dd_r(t)
-    dd_r12 = None if fam2.d3_r is None else (lambda t: rho1 * fam2.d3_r(t))
     f1 = None
     if fam2.f is not None and rz.f is not None:
         f1 = lambda lam: (p1sq * np.asarray(lam, float) ** 2 * fam2.f(lam)
@@ -354,7 +346,7 @@ def make_regression_model(fam2: CovFamily, rz: CovFamily, rho1: float) -> Covari
     return CovarianceModel(
         r1=r1, r2=fam2.r, r12=r12,
         d_r1=d_r1, d_r2=fam2.d_r, dd_r2=fam2.dd_r,
-        d_r12=d_r12, dd_r1=dd_r1, dd_r12=dd_r12,
+        d_r12=d_r12, dd_r1=dd_r1,
         f1=f1, f2=fam2.f,
         x2_differentiable=True, lambda22=1.0,
         one_minus_r2_sq=fam2.one_minus_r_sq,
@@ -368,22 +360,22 @@ def make_regression_model(fam2: CovFamily, rz: CovFamily, rho1: float) -> Covari
 # ----------------------------------------------------------------------
 # classification and condition diagnostics
 # ----------------------------------------------------------------------
-def classify(model: CovarianceModel, lag_grid=None, tol=1e-12) -> ModelClass:
+def classify(model: CovarianceModel, lag_grid=None) -> ModelClass:
     """Sort the model into the sub-model taxonomy by evaluating the lag
-    functions on a grid."""
+    functions on a grid; lag functions within 1e-12 count as equal."""
     if lag_grid is None:
         lag_grid = np.concatenate([np.linspace(0.05, 8.0, 64), [0.317, 1.414, 2.718]])
     g = np.asarray(lag_grid, float)
     if g.size == 0:
         raise ParameterError("lag_grid must be non-empty")
     r12p, r12m = np.asarray(model.r12(g), float), np.asarray(model.r12(-g), float)
-    cross_zero = max(np.max(np.abs(r12p)), np.max(np.abs(r12m))) <= tol
-    same_marg = np.max(np.abs(np.asarray(model.r1(g)) - np.asarray(model.r2(g)))) <= tol
+    cross_zero = max(np.max(np.abs(r12p)), np.max(np.abs(r12m))) <= 1e-12
+    same_marg = np.max(np.abs(np.asarray(model.r1(g)) - np.asarray(model.r2(g)))) <= 1e-12
     if cross_zero:
         return ModelClass.IID if same_marg else ModelClass.INDEPENDENT
-    if same_marg and np.max(np.abs(r12m + r12p)) <= tol:
+    if same_marg and np.max(np.abs(r12m + r12p)) <= 1e-12:
         return ModelClass.CIRCULARLY_SYMMETRIC
-    if same_marg and np.max(np.abs(r12m - r12p)) <= tol:
+    if same_marg and np.max(np.abs(r12m - r12p)) <= 1e-12:
         return ModelClass.REFLEXIONAL_SYMMETRIC
     return ModelClass.GENERAL
 
@@ -413,7 +405,7 @@ class ConditionReport:
         return dict(self.__dict__)
 
 
-def check_conditions(model: CovarianceModel, lag_max=40.0, n_grid=4001) -> ConditionReport:
+def check_conditions(model: CovarianceModel, lag_max=40.0) -> ConditionReport:
     notes = []
     # Geman: convergence at zero of (lambda22 + r2'')/t
     if model.x2_differentiable and model.dd_r2 is not None:
@@ -442,7 +434,7 @@ def check_conditions(model: CovarianceModel, lag_max=40.0, n_grid=4001) -> Condi
             names.append(nm)
         else:
             notes.append(f"condition (A): {nm} unavailable, omitted from m(t)")
-    grid = np.linspace(1e-6, lag_max, n_grid)
+    grid = np.linspace(1e-6, lag_max, 4001)
     m = np.max(np.abs(np.vstack([np.asarray(c(grid), float) for c in comps])), axis=0)
     m_l2 = float(np.trapezoid(m ** 2, grid))
     half = grid >= lag_max / 2.0

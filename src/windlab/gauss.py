@@ -18,7 +18,7 @@ confirm (see tests).  It vanishes whenever X3 or X4 is uncorrelated with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -196,10 +196,9 @@ def quadrant_expectation_series(c: QuadrantCorr, order: int = 80) -> float:
 @dataclass(frozen=True)
 class ConditionalCov:
     """4x4 conditional covariance of (X2'(0), X2'(t), X1(0), X1(t)) given
-    X2(0) = X2(t) = 0; ``matrix`` has shape lag.shape + (4, 4)."""
+    X2(0) = X2(t) = 0; ``matrix`` has shape t.shape + (4, 4)."""
 
     matrix: np.ndarray
-    lag: float
 
     def correlations(self):
         sd = np.sqrt(np.diagonal(self.matrix, axis1=-2, axis2=-1))
@@ -262,7 +261,7 @@ def conditional_cov(model: CovarianceModel, t) -> ConditionalCov:
     for i in range(4):
         for j in range(i):
             m[..., i, j] = m[..., j, i]
-    return ConditionalCov(matrix=m, lag=t[()])
+    return ConditionalCov(matrix=m)
 
 
 def generic_regression(joint: np.ndarray) -> ConditionalCov:
@@ -277,7 +276,7 @@ def generic_regression(joint: np.ndarray) -> ConditionalCov:
     if abs(det) < 1e-14 * max(1.0, abs(sbb[0, 0] * sbb[1, 1])):
         raise DegenerateConditioningError("conditioning 2x2 block is singular")
     cond = saa - sab @ np.linalg.solve(sbb, sab.T)
-    return ConditionalCov(matrix=0.5 * (cond + cond.T), lag=math.nan)
+    return ConditionalCov(matrix=0.5 * (cond + cond.T))
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +350,6 @@ class ChaosCoefficients:
     rho1: float
     rho2: float
     order: int
-    quad_nodes: int = field(default=0, compare=False)
 
     def partial_norm_sq(self, q: int) -> float:
         """sum_{k2+k3 <= q} d^2 k2! k3! (nondecreasing in q, bounded by
@@ -408,4 +406,4 @@ def chaos_coefficients(rho1: float, order: int) -> ChaosCoefficients:
             break
         d = d_next
     return ChaosCoefficients(a=dirac_coefficients(order), d=d, rho1=rho1,
-                             rho2=rho2, order=order, quad_nodes=n)
+                             rho2=rho2, order=order)

@@ -210,12 +210,13 @@ def _mean_se(x):
     return m, se
 
 
-def _bootstrap_var_ci(x, n_boot=1000, level=0.99, seed=0):
+def _bootstrap_var_ci(x, seed=0):
+    """99% percentile-bootstrap CI of the sample variance, 1000 resamples."""
     rng = np.random.default_rng(seed)
     n = len(x)
-    idx = rng.integers(0, n, size=(n_boot, n))
+    idx = rng.integers(0, n, size=(1000, n))
     vs = np.var(x[idx], axis=1, ddof=1)
-    a = (1.0 - level) / 2.0
+    a = (1.0 - 0.99) / 2.0
     return float(np.quantile(vs, a)), float(np.quantile(vs, 1.0 - a))
 
 

@@ -65,7 +65,6 @@ class QuadratureSpec:
     t_max: Optional[float] = None
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    singularity_exponent_hint: Optional[float] = None
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -133,16 +132,13 @@ def _i_integrand(model):
     return g
 
 
-def _singularity_power(model, q: QuadratureSpec) -> int:
+def _singularity_power(model) -> int:
     """Power p for the substitution t = u^p that flattens the t^a endpoint
     singularity of the coupling integrand (a = (alpha1 + alpha2)/2 - 2,
     rough coordinates contributing their alpha, differentiable ones 2)."""
-    if q.singularity_exponent_hint is not None:
-        a = q.singularity_exponent_hint
-    else:
-        a1 = model.meta.get("x1", {}).get("alpha", 2.0)
-        a2 = model.meta.get("x2", {}).get("alpha", 2.0)
-        a = 0.5 * (a1 + a2) - 2.0
+    a1 = model.meta.get("x1", {}).get("alpha", 2.0)
+    a2 = model.meta.get("x2", {}).get("alpha", 2.0)
+    a = 0.5 * (a1 + a2) - 2.0
     if a >= 0.0:
         return 1
     if a <= -1.0:
@@ -169,7 +165,7 @@ def _coupling_integral(model, q: QuadratureSpec):
         raise DivergenceError(
             "coupling integral I is not Riemann convergent at 0; the "
             "independent-case variance hypothesis (I convergent) fails")
-    p = _singularity_power(model, q)
+    p = _singularity_power(model)
     if p == 1:
         head_gk, e_gk = adaptive_quad(g, 0.0, 1.0, q.abs_tol * 1e-2, q.rel_tol * 1e-2)
     else:
@@ -425,11 +421,12 @@ def chaos_projection_variances(model: CovarianceModel,
     return out
 
 
-def _var_i4_spectral(model, lam_max=12.0, n=4001):
+def _var_i4_spectral(model):
     """Convolution form of the fourth-chaos limit:
     (1/4pi) * 2pi * int [ (f1~*3)(lam) lam^2 f2~ + (f2~*3)(lam) lam^2 f1~ ],
-    with fi~ the symmetric extension fi(|lam|)/2 on the FFT grid."""
-    lam = np.linspace(-lam_max, lam_max, n)
+    with fi~ the symmetric extension fi(|lam|)/2 on 4001 points of
+    [-12, 12]."""
+    lam = np.linspace(-12.0, 12.0, 4001)
     dlam = lam[1] - lam[0]
     f1 = 0.5 * np.asarray(model.f1(np.abs(lam)), float)
     f2 = 0.5 * np.asarray(model.f2(np.abs(lam)), float)
@@ -457,14 +454,15 @@ class TwoAlphaBound:
         return dict(self.__dict__)
 
 
-def _bump_autocorr(epsilon: float, n=2001):
-    """Autocorrelation of the normalized bump kernel psi_eps; support
-    [-2 eps, 2 eps].  Returns (offsets, weights) with sum(weights) = 1."""
-    u = np.linspace(-1.0, 1.0, n)
+def _bump_autocorr(epsilon: float):
+    """Autocorrelation of the normalized bump kernel psi_eps, sampled at
+    2001 points; support [-2 eps, 2 eps].  Returns (offsets, weights) with
+    sum(weights) = 1."""
+    u = np.linspace(-1.0, 1.0, 2001)
     psi = bump_kernel(u)
     psi /= psi.sum()
     k2 = np.convolve(psi, psi[::-1], mode="full")
-    off = (np.arange(k2.size) - (n - 1)) * (u[1] - u[0]) * epsilon
+    off = (np.arange(k2.size) - 2000) * (u[1] - u[0]) * epsilon
     return off, k2
 
 

@@ -231,8 +231,7 @@ class SpectralSampler(_Sampler):
 
     backend = "spectral"
 
-    def __init__(self, model: CovarianceModel, grid: GridSpec,
-                 n_freq: int = 4096, lambda_max: Optional[float] = None):
+    def __init__(self, model: CovarianceModel, grid: GridSpec, n_freq: int = 4096):
         if n_freq < 256:
             raise ParameterError("n_freq must be at least 256")
         if model.f2 is None:
@@ -246,7 +245,7 @@ class SpectralSampler(_Sampler):
         if self.construction in ("iid", "independent") and model.f1 is None:
             raise CapabilityError("independent spectral synthesis needs f1")
         self.n_freq = n_freq
-        lam_max = lambda_max if lambda_max is not None else self._default_lambda_max()
+        lam_max = self._lambda_max()
         dl = lam_max / n_freq
         self.lam = (np.arange(n_freq) + 0.5) * dl
         t = grid.times()
@@ -266,7 +265,7 @@ class SpectralSampler(_Sampler):
             self.amp_other = np.sqrt(np.asarray(model.f1(self.lam), float) * dl)
         self.trunc_other = abs(1.0 - float(np.sum(self.amp_other ** 2)))
 
-    def _default_lambda_max(self):
+    def _lambda_max(self):
         # expand until the tail mass of f2 is negligible
         lam = 8.0
         for _ in range(8):
@@ -318,7 +317,7 @@ class SpectralSampler(_Sampler):
         if not hasattr(self, "_fine_sampler"):
             self._fine_sampler = SpectralSampler(
                 self.model, GridSpec(T=self.grid.T, n=2 * self.grid.n - 1),
-                n_freq=self.n_freq, lambda_max=float(self.lam[-1] + self.lam[0]))
+                n_freq=self.n_freq)
         return coarse, self._fine_sampler.sample(seed, stream)
 
 
@@ -440,10 +439,11 @@ def bump_kernel(u):
                         np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
 
 
-def smooth_path(path: SamplePath, epsilon: float, kernel=bump_kernel) -> SamplePath:
+def smooth_path(path: SamplePath, epsilon: float) -> SamplePath:
     """Replace x2 by its discrete convolution with the mass-normalized
-    kernel psi_eps(t) = psi(t/eps)/eps; x1 untouched.  The path is
-    reflected at both ends to handle the boundary."""
+    bump kernel psi_eps(t) = psi(t/eps)/eps (the kernel the two-alpha
+    bound assumes); x1 untouched.  The path is reflected at both ends to
+    handle the boundary."""
     dt = path.grid.dt
     if epsilon < 2.0 * dt:
         raise ResolutionError(
@@ -451,7 +451,7 @@ def smooth_path(path: SamplePath, epsilon: float, kernel=bump_kernel) -> SampleP
             "resolvable on the grid")
     half = int(math.ceil(epsilon / dt))
     u = np.arange(-half, half + 1) * dt / epsilon
-    w = kernel(u)
+    w = bump_kernel(u)
     w = w / w.sum()
     x2 = path.x2
     padded = np.concatenate([x2[half:0:-1], x2, x2[-2:-half - 2:-1]])

@@ -100,19 +100,19 @@ def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-10):
             math.fsum(-p[0] for p in panels))
 
 
-def tanh_sinh(f, a, b, tol=1e-12, max_level=12):
+def tanh_sinh(f, a, b, tol=1e-12):
     """Tanh-sinh (double-exponential) quadrature on the finite interval [a, b].
 
     Nodes are evaluated through their distance to the nearer endpoint
     (1 - tanh(u) = 2/(1 + e^{2u})), which keeps integrable endpoint
     singularities accurate to near machine precision.  The trapezoid step
-    is halved until two successive levels agree to ``tol``; the reported
-    error is the last inter-level change.
+    is halved (at most 12 times) until two successive levels agree to
+    ``tol``; the reported error is the last inter-level change.
     """
     if a == b:
         return 0.0, 0.0
     if b < a:
-        val, err = tanh_sinh(f, b, a, tol=tol, max_level=max_level)
+        val, err = tanh_sinh(f, b, a, tol=tol)
         return -val, err
 
     mid = 0.5 * (a + b)
@@ -170,7 +170,7 @@ def tanh_sinh(f, a, b, tol=1e-12, max_level=12):
     total = sweep(h, 1, 1, piov2 * f(mid))
     prev = total * h * half
     change = math.inf
-    for _ in range(max_level):
+    for _ in range(12):
         h *= 0.5
         total = sweep(h, 1, 2, total)
         cur = total * h * half
@@ -181,17 +181,17 @@ def tanh_sinh(f, a, b, tol=1e-12, max_level=12):
     return prev, change
 
 
-def integrate_to_infinity(f, t0=0.0, abs_tol=1e-10, rel_tol=1e-10,
-                          t_max=25.0, max_doublings=8, rule=adaptive_quad):
-    """Integrate f over [t0, inf) by truncating at t_max and doubling the
-    horizon until the added tail changes the value by less than tolerance.
+def integrate_to_infinity(f, t0=0.0, abs_tol=1e-10, rel_tol=1e-10, t_max=25.0):
+    """Integrate f over [t0, inf) with adaptive_quad by truncating at t_max
+    and doubling the horizon, at most 8 times, until the added
+    tail changes the value by less than tolerance.
 
     Raises DivergenceError when the partial integrals are not Cauchy.
     """
-    val, err = rule(f, t0, t_max, abs_tol, rel_tol)
+    val, err = adaptive_quad(f, t0, t_max, abs_tol, rel_tol)
     prev_tail = math.inf
-    for _ in range(max_doublings):
-        tail, tail_err = rule(f, t_max, 2.0 * t_max, abs_tol, rel_tol)
+    for _ in range(8):
+        tail, tail_err = adaptive_quad(f, t_max, 2.0 * t_max, abs_tol, rel_tol)
         t_max *= 2.0
         val += tail
         err += tail_err
