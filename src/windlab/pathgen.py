@@ -248,22 +248,33 @@ class SpectralSampler(_Sampler):
         lam_max = self._lambda_max()
         dl = lam_max / n_freq
         self.lam = (np.arange(n_freq) + 0.5) * dl
+        self.amp2 = np.sqrt(np.asarray(model.f2(self.lam), float) * dl)
+        if self.construction == "regression":
+            other, f_other = "rZ", self._rz_density()
+        else:
+            other, f_other = "f1", model.f1
+        self.amp_other = np.sqrt(np.asarray(f_other(self.lam), float) * dl)
+        # past 5% missing mass a coordinate is synthesised with the wrong law
+        masses = {"f2": float(np.sum(self.amp2 ** 2)),
+                  other: float(np.sum(self.amp_other ** 2))}
+        for name, mass in masses.items():
+            if abs(1.0 - mass) > 0.05:
+                raise ModelError(
+                    f"{name} mass on the frequency window [0, {lam_max:g}] is "
+                    f"{mass:.4f}, not 1 within 0.05: spectrum unnormalized or "
+                    "too heavy-tailed for the window that f2 sets")
+        self.trunc2, self.trunc_other = (abs(1.0 - m) for m in masses.values())
+        # every frequency is an odd multiple of dl/2, so the synthesised
+        # covariance is antiperiodic: r(2 pi/dl - t) = -r(t), r(pi/dl) = 0
+        if grid.T > math.pi / dl:
+            raise ParameterError(
+                f"spectral synthesis with n_freq = {n_freq} and lambda_max = "
+                f"{lam_max:g} holds only for T <= pi*n_freq/lambda_max = "
+                f"{math.pi / dl:.4g} (half-period of the frequency grid), "
+                f"got T = {grid.T:g}; raise n_freq")
         t = grid.times()
         self.cos = np.cos(np.outer(self.lam, t))
         self.sin = np.sin(np.outer(self.lam, t))
-        self.amp2 = np.sqrt(np.asarray(model.f2(self.lam), float) * dl)
-        mass2 = float(np.sum(self.amp2 ** 2))
-        self.trunc2 = abs(1.0 - mass2)
-        if self.trunc2 > 0.05:
-            raise ModelError(
-                f"f2 mass on the frequency window is {mass2:.4f}; spectrum "
-                "unnormalized or lambda_max too small")
-        if self.construction == "regression":
-            fz = self._rz_density()
-            self.amp_other = np.sqrt(np.asarray(fz(self.lam), float) * dl)
-        else:
-            self.amp_other = np.sqrt(np.asarray(model.f1(self.lam), float) * dl)
-        self.trunc_other = abs(1.0 - float(np.sum(self.amp_other ** 2)))
 
     def _lambda_max(self):
         # expand until the tail mass of f2 is negligible

@@ -370,6 +370,11 @@ class TestCli:
         ("simulate", {"model": "not json"}, [], "model spec"),
         ("simulate", {"out_dir": 5}, [], "out_dir"),
         ("check", {"correlations_file": 5}, [], "correlations_file"),
+        ("simulate", {"backend": "spectral", "n_freq": 256, "t_ladder": [120.0],
+                      "dt": 0.05}, [], "half-period"),
+        ("simulate", {"backend": "spectral",
+                      "model": {"x1": {"family": "ou"}, "x2": {"family": "bargmann_fock"},
+                                "cross": "independent"}}, [], "f1 mass"),
     ])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys,
                                 command, fields, flags, message):

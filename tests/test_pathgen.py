@@ -142,6 +142,18 @@ class TestSpectral:
         with pytest.raises(ModelError):
             SpectralSampler(bad, GridSpec.from_dt(2.0, 0.05), n_freq=512)
 
+    def test_truncated_x1_spectrum_rejected(self, ou_bf):
+        # the window [0, 8] that f2 sets holds 92% of X1's OU spectrum
+        with pytest.raises(ModelError, match="f1 mass"):
+            SpectralSampler(ou_bf, GridSpec.from_dt(5.0, 0.05), n_freq=512)
+
+    def test_half_period_guard(self, iid_bf):
+        # frequencies at odd multiples of dl/2 make the synthesis
+        # antiperiodic: here pi/dl = pi * 256/8 = 100.5
+        with pytest.raises(ParameterError, match="half-period"):
+            SpectralSampler(iid_bf, GridSpec.from_dt(120.0, 0.05), n_freq=256)
+        SpectralSampler(iid_bf, GridSpec.from_dt(100.0, 0.05), n_freq=256)
+
     def test_min_freq_guard(self, iid_bf):
         with pytest.raises(ParameterError):
             SpectralSampler(iid_bf, GridSpec.from_dt(2.0, 0.05), n_freq=128)
