@@ -12,6 +12,7 @@ import json
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -451,6 +452,23 @@ def _builtin_differentiable_models():
     }
 
 
+def _load_correlations(path) -> np.ndarray:
+    """The (rows, 6) array of rho12,rho13,rho14,rho23,rho24,rho34 rows of a
+    correlations file; anything else is a ConfigError naming the file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data": refused below
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"correlations_file {path}: {e}") from None
+    if data.shape[0] == 0 or data.shape[1] != 6:
+        raise ConfigError(
+            f"correlations_file {path}: need at least one row of exactly 6 "
+            f"numbers (rho12,rho13,rho14,rho23,rho24,rho34), got "
+            f"{data.shape[0]} rows of {data.shape[1]}")
+    return data
+
+
 def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
     """Oracle equivalence suite: closed form vs diagram series vs
     conditional MC, and closed-form conditional covariance vs Schur
@@ -461,6 +479,8 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
     formula must make the checks fail).
     """
     closed = closed_form_override or quadrant_expectation
+    file_corrs = (_load_correlations(cfg.correlations_file)
+                  if cfg.correlations_file else None)
     rng = np.random.default_rng(cfg.seed)
     checks = {}
 
@@ -501,19 +521,18 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
         "lags_per_model": 50, "max_abs_diff": worst, "tolerance": 1e-10,
         "pass": bool(worst < 1e-10)}
 
-    if cfg.correlations_file:
+    if file_corrs is not None:
         rows = []
-        data = np.loadtxt(cfg.correlations_file, delimiter=",", ndmin=2)
-        for row in data:
-            c = QuadrantCorr(*[float(v) for v in row[:6]])
+        for row in file_corrs:
+            c = QuadrantCorr(*map(float, row))
             try:
                 cf = closed(c)
                 sr = quadrant_expectation_series(c, _SERIES_ORDER)
-                rows.append({"corr": list(map(float, row[:6])), "closed": cf,
+                rows.append({"corr": list(map(float, row)), "closed": cf,
                              "series": sr, "abs_diff": abs(cf - sr),
                              "pass": bool(abs(cf - sr) < 1e-10)})
             except WindlabError as e:
-                rows.append({"corr": list(map(float, row[:6])),
+                rows.append({"corr": list(map(float, row)),
                              "error": str(e), "pass": False})
         checks["file_rows"] = rows
 

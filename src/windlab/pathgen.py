@@ -21,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -141,6 +142,22 @@ class _Sampler:
 
     backend = "?"
 
+    def _on_grid(self, grid: GridSpec) -> "_Sampler":
+        return type(self)(self.model, grid)
+
+    @cached_property
+    def _fine(self) -> "_Sampler":
+        return self._on_grid(GridSpec(T=self.grid.T, n=2 * self.grid.n - 1))
+
+    def sample_refined(self, seed: int, stream: int = 0):
+        """(coarse, fine): the path on the dyadic refinement of the grid
+        (2n - 1 points) and its restriction to every second point, so the
+        nested pair shares its randomness exactly."""
+        fine = self._fine.sample(seed, stream)
+        return replace(fine, grid=self.grid, x1=fine.x1[::2], x2=fine.x2[::2],
+                       dx2=None if fine.dx2 is None else fine.dx2[::2],
+                       meta={**fine.meta, "restricted": True}), fine
+
     def sample(self, seed: int, stream: int = 0) -> SamplePath:
         x = self._rows(seed, [stream])[0]
         return SamplePath(grid=self.grid, x1=x[0], x2=x[1],
@@ -205,19 +222,6 @@ class CholeskySampler(_Sampler):
     def diagnostics(self) -> dict:
         return {"jitter": self.jitter}
 
-    def sample_refined(self, seed: int, stream: int = 0):
-        """Sample on the dyadic refinement of the grid and restrict to every
-        second point: the nested pair shares its randomness exactly (the
-        coarse path is the fine one evaluated on the coarse grid)."""
-        if not hasattr(self, "_fine_sampler"):
-            self._fine_sampler = CholeskySampler(
-                self.model, GridSpec(T=self.grid.T, n=2 * self.grid.n - 1))
-        fine = self._fine_sampler.sample(seed, stream)
-        coarse = SamplePath(grid=self.grid, x1=fine.x1[::2], x2=fine.x2[::2],
-                            seed=seed, stream=stream, backend="cholesky",
-                            meta={**fine.meta, "restricted": True})
-        return coarse, fine
-
 
 # ----------------------------------------------------------------------
 # spectral backend
@@ -272,9 +276,12 @@ class SpectralSampler(_Sampler):
                 f"{lam_max:g} holds only for T <= pi*n_freq/lambda_max = "
                 f"{math.pi / dl:.4g} (half-period of the frequency grid), "
                 f"got T = {grid.T:g}; raise n_freq")
-        t = grid.times()
-        self.cos = np.cos(np.outer(self.lam, t))
-        self.sin = np.sin(np.outer(self.lam, t))
+        # t_k = (qP + r) dt splits e^{i l_j t_k} into B[j, q] A[j, r]: two
+        # n_freq x ~sqrt(n) phase tables in place of dense n_freq x n ones
+        P = math.isqrt(grid.n - 1) + 1
+        Q = -(-grid.n // P)
+        self._A = np.exp(1j * np.outer(self.lam, np.arange(P) * grid.dt))       # [j, r]
+        self._Bt = np.exp(1j * np.outer(np.arange(Q) * P * grid.dt, self.lam))  # [q, j]
 
     def _lambda_max(self):
         # expand until the tail mass of f2 is negligible
@@ -301,11 +308,14 @@ class SpectralSampler(_Sampler):
         for i, s in enumerate(streams):
             rng = _rng(seed, s)
             xi, eta = rng.standard_normal((2, self.n_freq))
-            x2 = (self.amp2 * xi) @ self.cos + (self.amp2 * eta) @ self.sin
-            dx2 = ((self.amp2 * self.lam * eta) @ self.cos
-                   - (self.amp2 * self.lam * xi) @ self.sin)
             xo, eo = rng.standard_normal((2, self.n_freq))
-            other = (self.amp_other * xo) @ self.cos + (self.amp_other * eo) @ self.sin
+            # each row is Re sum_j c_j e^{i l_j t}: Re[(xi - i eta) e^{ilt}] is
+            # xi cos + eta sin, Re[l (eta + i xi) e^{ilt}] is l (eta cos - xi sin)
+            c = np.stack([self.amp2 * (xi - 1j * eta),
+                          self.amp2 * self.lam * (eta + 1j * xi),
+                          self.amp_other * (xo - 1j * eo)])
+            rows = (self._Bt @ (c[:, :, None] * self._A)).reshape(3, -1)
+            x2, dx2, other = rows[:, :self.grid.n].real
             if self.construction == "regression":
                 rho1, rho2 = self.model.meta["rho1"], self.model.meta["rho2"]
                 out[i, 0] = rho1 * dx2 + rho2 * other
@@ -322,14 +332,8 @@ class SpectralSampler(_Sampler):
         return {"n_freq": self.n_freq,
                 "covariance_truncation": max(self.trunc2, self.trunc_other)}
 
-    def sample_refined(self, seed: int, stream: int = 0):
-        """Same frequency noise, evaluated on the dyadic grid refinement."""
-        coarse = self.sample(seed, stream)
-        if not hasattr(self, "_fine_sampler"):
-            self._fine_sampler = SpectralSampler(
-                self.model, GridSpec(T=self.grid.T, n=2 * self.grid.n - 1),
-                n_freq=self.n_freq)
-        return coarse, self._fine_sampler.sample(seed, stream)
+    def _on_grid(self, grid: GridSpec) -> "SpectralSampler":
+        return SpectralSampler(self.model, grid, n_freq=self.n_freq)
 
 
 # ----------------------------------------------------------------------
@@ -461,6 +465,12 @@ def smooth_path(path: SamplePath, epsilon: float) -> SamplePath:
             f"epsilon = {epsilon:g} below 2*dt = {2 * dt:g}: kernel not "
             "resolvable on the grid")
     half = int(math.ceil(epsilon / dt))
+    if half > path.grid.n - 1:
+        # a reflected pad shorter than the kernel would make "valid"
+        # convolution swap its operands and return a wrong path
+        raise ResolutionError(
+            f"epsilon = {epsilon:g} spans {half} grid steps, more than the "
+            f"path's {path.grid.n - 1}: kernel wider than the path")
     u = np.arange(-half, half + 1) * dt / epsilon
     w = bump_kernel(u)
     w = w / w.sum()

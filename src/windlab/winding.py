@@ -102,13 +102,8 @@ def count_windings(path: SamplePath) -> WindingResult:
 
 def count_windings_refined(sampler, seed: int, stream: int = 0) -> WindingResult:
     """Count at dt and dt/2 on nested grids driven by the same randomness
-    (the sampler's ``sample_refined``: spectral and Cholesky backends);
-    refinement_stable records whether n_w survived the refinement.  The
-    finer-grid result is returned."""
-    if not hasattr(sampler, "sample_refined"):
-        raise ParameterError(
-            "refined counting needs a sampler with sample_refined "
-            f"(spectral or cholesky), got {type(sampler).__name__}")
+    (the sampler's ``sample_refined``); refinement_stable records whether
+    n_w survived the refinement.  The finer-grid result is returned."""
     coarse, fine = sampler.sample_refined(seed, stream)
     rf = count_windings(fine)
     return replace(rf, refinement_stable=(count_windings(coarse).n_w == rf.n_w))

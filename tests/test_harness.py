@@ -247,6 +247,24 @@ class TestLemmaCheck:
         assert file_rows[0]["pass"] and file_rows[1]["pass"]
         assert not file_rows[2]["pass"] and "error" in file_rows[2]
 
+    @pytest.mark.parametrize("text", [
+        "0.5,0,0,0,0\n", "0.5,0,0,0,0,0,0.1\n", "0.5,0,0,0,0,0\n0.5,0,0\n",
+        "rho12,rho13,rho14,rho23,rho24,rho34\n", "", "# a comment only\n"],
+        ids=["five-columns", "seven-columns", "ragged", "not-numbers", "empty",
+             "comment-only"])
+    def test_bad_correlation_file_exits_2(self, tmp_path, capsys, text):
+        from windlab import cli
+        f = tmp_path / "corr.csv"
+        f.write_text(text)
+        cfg = self._cfg()
+        cfg.correlations_file = str(f)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(cfg.to_json())
+        assert cli.main(["check", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: correlations_file") and str(f) in err
+        assert "Traceback" not in err
+
 
 class TestSmoothingRun:
     def test_requires_rough_model(self):
@@ -375,6 +393,9 @@ class TestCli:
         ("simulate", {"backend": "spectral",
                       "model": {"x1": {"family": "ou"}, "x2": {"family": "bargmann_fock"},
                                 "cross": "independent"}}, [], "f1 mass"),
+        # the kernel spans more steps than the default T = 5 grid has
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [8.0, 0.5]}, [],
+         "epsilon"),
     ])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys,
                                 command, fields, flags, message):

@@ -103,16 +103,48 @@ class TestCholesky:
         est, se = float(prod.mean()), float(prod.std() / math.sqrt(len(prod)))
         assert abs(est - math.exp(-0.5)) <= 3.0 * se
 
-    def test_refined_keeps_coarse_points(self, iid_bf):
-        s = CholeskySampler(iid_bf, GridSpec.from_dt(2.0, 0.1))
+    @pytest.mark.parametrize("make", [
+        CholeskySampler, CirculantSampler,
+        lambda model, grid: SpectralSampler(model, grid, n_freq=512)],
+        ids=["cholesky", "circulant", "spectral"])
+    def test_refined_keeps_coarse_points(self, iid_bf, make):
+        s = make(iid_bf, GridSpec.from_dt(2.0, 0.1))
         coarse, fine = s.sample_refined(11, 0)
         assert fine.grid.n == 2 * coarse.grid.n - 1
         assert np.array_equal(fine.x2[::2], coarse.x2)
         assert np.array_equal(fine.x1[::2], coarse.x1)
         assert coarse.grid.dt == pytest.approx(2 * fine.grid.dt)
+        assert fine.backend == coarse.backend == s.backend
+        if s.backend == "spectral":
+            assert np.array_equal(fine.dx2[::2], coarse.dx2)
+        else:
+            assert fine.dx2 is None and coarse.dx2 is None
 
 
 class TestSpectral:
+    @pytest.mark.parametrize("T, dt", [(0.1, 0.1), (3.0, 0.05), (9.8, 0.02)])
+    @pytest.mark.parametrize("name", ["iid_bf", "regression03"])
+    def test_synthesis_matches_dense_formula(self, name, T, dt, request):
+        # n = 2, 61, 491: one phase block, and blocks of 8 and 23 points
+        # whose last one runs past the grid
+        model = request.getfixturevalue(name)
+        grid = GridSpec.from_dt(T, dt)
+        s = SpectralSampler(model, grid, n_freq=512)
+        lt = np.outer(s.lam, grid.times())
+        cos, sin = np.cos(lt), np.sin(lt)
+        for stream in (0, 5):
+            rng = pathgen._rng(9, stream)
+            xi, eta = rng.standard_normal((2, 512))
+            xo, eo = rng.standard_normal((2, 512))
+            x2 = (s.amp2 * xi) @ cos + (s.amp2 * eta) @ sin
+            dx2 = (s.amp2 * s.lam * eta) @ cos - (s.amp2 * s.lam * xi) @ sin
+            x1 = (s.amp_other * xo) @ cos + (s.amp_other * eo) @ sin
+            if name == "regression03":
+                x1 = model.meta["rho1"] * dx2 + model.meta["rho2"] * x1
+            p = s.sample(9, stream)
+            for got, want in ((p.x1, x1), (p.x2, x2), (p.dx2, dx2)):
+                assert np.max(np.abs(got - want)) < 1e-12
+
     def test_derivative_consistency(self, iid_bf):
         p = sample_spectral(iid_bf, GridSpec.from_dt(10.0, 0.01), 5, n_freq=4096)
         fd = np.diff(p.x2) / p.grid.dt
@@ -325,6 +357,15 @@ class TestSmoothing:
         p = sample_circulant(iid_bf, GridSpec.from_dt(5.0, 0.05), 1)
         with pytest.raises(ResolutionError):
             smooth_path(p, 0.05)
+
+    def test_kernel_wider_than_path_rejected(self):
+        # ceil(eps/dt) > n - 1: the reflected pad cannot hold the kernel
+        grid = GridSpec.from_dt(1.0, 0.01)
+        p = SamplePath(grid=grid, x1=np.ones(grid.n), x2=np.full(grid.n, 2.7))
+        for eps in (2.0 * grid.T, 1.01):
+            with pytest.raises(ResolutionError, match="epsilon"):
+                smooth_path(p, eps)
+        assert np.allclose(smooth_path(p, 1.0).x2, 2.7, atol=1e-12)
 
     def test_constant_path_invariant(self):
         grid = GridSpec.from_dt(5.0, 0.05)

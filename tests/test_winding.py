@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from windlab.errors import AliasingError, ParameterError, ResolutionError
-from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
-                             SamplePath, SpectralSampler, export_path_csv,
-                             load_path_csv, sample_circulant, sample_spectral)
+from windlab.pathgen import (CholeskySampler, GridSpec, SamplePath,
+                             SpectralSampler, export_path_csv, load_path_csv,
+                             sample_circulant, sample_spectral)
 from windlab.winding import (count_windings, count_windings_arrays,
                              count_windings_refined, smoothed_winding)
 
@@ -135,11 +135,6 @@ class TestRefinedCounting:
         s = CholeskySampler(iid_bf, GridSpec.from_dt(5.0, 0.05))
         r = count_windings_refined(s, seed=3, stream=1)
         assert r.refinement_stable in (True, False)
-
-    def test_unknown_backend(self, iid_bf):
-        with pytest.raises(ParameterError):
-            count_windings_refined(
-                CirculantSampler(iid_bf, GridSpec.from_dt(5.0, 0.05)), 3)
 
 
 class TestSmoothedWinding:
