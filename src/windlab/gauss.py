@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .covmodel import CovarianceModel
 from .errors import (CapabilityError, DegenerateConditioningError, DomainError,
@@ -91,9 +89,9 @@ def orthant_prob(r: float) -> float:
 
 def orthant_angle(r):
     """arccos(sqrt((1-r)/2)) = pi * orthant_prob(r): the same quantity in
-    angle units, elementwise on arrays.  Exposed separately because some
-    derivations carry the angle where a probability is meant; orthant_prob
-    is what the variance formulas consume."""
+    angle units, elementwise on arrays.  This angle form is what the
+    variance formulas of moments consume; orthant_prob is its probability
+    form."""
     r = np.asarray(r, float)
     bad = ~((-1.0 <= r) & (r <= 1.0))
     if bad.any():
@@ -308,41 +306,14 @@ def indicator_coefficients(order: int) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=8)
-def _gh_nodes(n: int):
-    x, w = hermegauss(n)
-    return x, w / w.sum()
-
-
-def _phi(x):
-    return np.exp(-0.5 * x * x) / SQ2PI
-
-
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _ndtr(x):
-    """Standard normal CDF 0.5 erfc(-x/sqrt(2)), elementwise on an array
-    (the erfc form keeps the lower tail accurate)."""
-    return 0.5 * _erfc(np.asarray(x, float) * -math.sqrt(0.5)).astype(float)
-
-
-def _upper_hermite_integral(k: int, a: np.ndarray) -> np.ndarray:
-    """int_a^inf H_k(z) phi(z) dz: equals H_{k-1}(a) phi(a) for k >= 1 and
-    the Gaussian upper tail for k = 0 (exact; removes the indicator kink
-    from the d-coefficient quadrature)."""
-    if k == 0:
-        return 1.0 - _ndtr(a)
-    return hermite(k - 1, a) * _phi(a)
-
-
 @dataclass(frozen=True)
 class ChaosCoefficients:
     """Coefficient tables of the Hermite expansion of the winding count.
 
     a[k1]: Dirac coefficients; d[k2, k3]: coefficients of
     g(x', z) = x' 1{rho1 x' + rho2 z >= 0}, both up to total order
-    ``order`` (d is full on k2 + k3 <= order and zero-padded beyond).
+    ``order`` (d is full on k2 + k3 <= order and zero-padded beyond),
+    both in closed form (see chaos_coefficients).
     """
 
     a: np.ndarray
@@ -353,7 +324,7 @@ class ChaosCoefficients:
 
     def partial_norm_sq(self, q: int) -> float:
         """sum_{k2+k3 <= q} d^2 k2! k3! (nondecreasing in q, bounded by
-        ||g||^2)."""
+        ||g||^2 = 1/2)."""
         tot = 0.0
         for k2 in range(min(q, self.order) + 1):
             f2 = math.factorial(k2)
@@ -363,47 +334,41 @@ class ChaosCoefficients:
 
 
 def g_norm_sq(rho1: float) -> float:
-    """||g||^2 = E[X'^2 1{rho1 X' + rho2 Z >= 0}] by Gauss-Hermite
-    quadrature (exact inner integral)."""
-    rho2 = math.sqrt(1.0 - rho1 ** 2)
-    x, w = _gh_nodes(256)
-    return float(np.sum(w * x * x * _ndtr(rho1 * x / rho2)))
+    """||g||^2 = E[X'^2 1{rho1 X' + rho2 Z >= 0}] = 1/2 for every rho1: the
+    reflection (X', Z) -> (-X', -Z) leaves X'^2 unchanged and maps the
+    event onto its complement (up to the null set rho1 X' + rho2 Z = 0), so
+    each carries half of E[X'^2] = 1."""
+    return 0.5
 
 
 def chaos_coefficients(rho1: float, order: int) -> ChaosCoefficients:
-    """Coefficient tables for the regression parameter rho1.
+    """Coefficient tables for the regression parameter rho1, in closed form.
 
-    d_{k2,k3} = (k2! k3!)^-1 E[g H_{k2}(X') H_{k3}(Z)] with the z-integral
-    done in closed form and the x'-integral by Gauss-Hermite, doubling the
-    node count from 64 until two successive orders agree to 1e-12.
+    d_{k2,k3} = (k2! k3!)^-1 E[g H_{k2}(X') H_{k3}(Z)].  With the unit
+    Gaussian W = rho1 X' + rho2 Z, Gaussian integration by parts gives
+    E[H_j(X') H_k(Z) f(W)] = rho1^j rho2^k E[H_{j+k}(W) f(W)], and
+    x' H_{k2}(x') = H_{k2+1}(x') + k2 H_{k2-1}(x'), so
+
+        d_{k2,k3} = rho2^k3 (rho1^(k2+1) e_{k2+k3+1}
+                             + k2 rho1^(k2-1) e_{k2+k3-1}) / (k2! k3!)
+
+    with e_n = E[H_n(W) 1{W >= 0}] = n! g_n (indicator_coefficients).  Only
+    nonnegative powers of rho1 and rho2 appear, so the table is exact and
+    finite up to |rho1| -> 1.
     """
     if not abs(rho1) < 1.0:
         raise ParameterError(f"|rho1| must be < 1, got {rho1}")
     if order < 1:
         raise ParameterError("order must be >= 1")
     rho2 = math.sqrt(1.0 - rho1 ** 2)
-
-    def table(n_nodes):
-        x, w = _gh_nodes(n_nodes)
-        a_kink = -rho1 * x / rho2
-        hx = [hermite(k, x) for k in range(order + 1)]
-        d = np.zeros((order + 1, order + 1))
-        for k3 in range(order + 1):
-            inner = _upper_hermite_integral(k3, a_kink)
-            f3 = math.factorial(k3)
-            base = w * x * inner
-            for k2 in range(order + 1 - k3):
-                d[k2, k3] = float(np.sum(base * hx[k2])) / (math.factorial(k2) * f3)
-        return d
-
-    n = 64
-    d = table(n)
-    while n < 4096:
-        n *= 2
-        d_next = table(n)
-        if np.max(np.abs(d_next - d)) < 1e-12:
-            d = d_next
-            break
-        d = d_next
+    fact = [math.factorial(n) for n in range(order + 2)]
+    e = [f * g for f, g in zip(fact, indicator_coefficients(order + 1))]
+    d = np.zeros((order + 1, order + 1))
+    for k2 in range(order + 1):
+        for k3 in range(order + 1 - k2):
+            n = k2 + k3
+            lower = k2 * rho1 ** (k2 - 1) * e[n - 1] if k2 else 0.0
+            d[k2, k3] = ((rho1 ** (k2 + 1) * e[n + 1] + lower) * rho2 ** k3
+                         / (fact[k2] * fact[k3]))
     return ChaosCoefficients(a=dirac_coefficients(order), d=d, rho1=rho1,
                              rho2=rho2, order=order)

@@ -29,7 +29,8 @@ from .gauss import (_PSD_TOL, QuadrantCorr, conditional_cov,
 from .moments import (expectation_rate, variance_bound_two_alpha,
                       variance_rate_general, variance_rate_independent)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec,
-                      SamplePath, SpectralSampler, export_path_csv)
+                      SamplePath, SpectralSampler, export_path_csv,
+                      kernel_half_width)
 from .winding import count_windings_arrays, smoothed_winding
 
 __all__ = [
@@ -551,9 +552,11 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     if not cfg.epsilon_ladder:
         raise ConfigError("smoothing experiment needs epsilon_ladder")
     eps = [float(e) for e in cfg.epsilon_ladder]
-    bound = variance_bound_two_alpha(model, eps)  # raises HypothesisError early
     T = cfg.t_ladder[-1]
     grid = GridSpec.from_dt(T, cfg.dt)
+    for e in eps:  # an unresolvable ladder exits before the costly bound
+        kernel_half_width(grid, e)
+    bound = variance_bound_two_alpha(model, eps)  # raises HypothesisError early
     sampler = _make_sampler(model, grid, cfg.backend, cfg.n_freq)
     res = _map_paths(sampler, cfg.seed, cfg.replications, cfg.workers,
                      lambda x1, x2: smoothed_winding(SamplePath(grid, x1, x2), eps))

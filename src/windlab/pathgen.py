@@ -45,6 +45,7 @@ __all__ = [
     "sample_spectral",
     "sample_circulant",
     "smooth_path",
+    "kernel_half_width",
     "bump_kernel",
     "export_path_csv",
     "load_path_csv",
@@ -454,24 +455,32 @@ def bump_kernel(u):
                         np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
 
 
-def smooth_path(path: SamplePath, epsilon: float) -> SamplePath:
-    """Replace x2 by its discrete convolution with the mass-normalized
-    bump kernel psi_eps(t) = psi(t/eps)/eps (the kernel the two-alpha
-    bound assumes); x1 untouched.  The path is reflected at both ends to
-    handle the boundary."""
-    dt = path.grid.dt
+def kernel_half_width(grid: GridSpec, epsilon: float) -> int:
+    """Grid steps ceil(epsilon/dt) spanned by the half-kernel of width
+    epsilon; ResolutionError unless the grid resolves the kernel and the
+    path is at least as long as it."""
+    dt = grid.dt
     if epsilon < 2.0 * dt:
         raise ResolutionError(
             f"epsilon = {epsilon:g} below 2*dt = {2 * dt:g}: kernel not "
             "resolvable on the grid")
     half = int(math.ceil(epsilon / dt))
-    if half > path.grid.n - 1:
+    if half > grid.n - 1:
         # a reflected pad shorter than the kernel would make "valid"
         # convolution swap its operands and return a wrong path
         raise ResolutionError(
             f"epsilon = {epsilon:g} spans {half} grid steps, more than the "
-            f"path's {path.grid.n - 1}: kernel wider than the path")
-    u = np.arange(-half, half + 1) * dt / epsilon
+            f"path's {grid.n - 1}: kernel wider than the path")
+    return half
+
+
+def smooth_path(path: SamplePath, epsilon: float) -> SamplePath:
+    """Replace x2 by its discrete convolution with the mass-normalized
+    bump kernel psi_eps(t) = psi(t/eps)/eps (the kernel the two-alpha
+    bound assumes); x1 untouched.  The path is reflected at both ends to
+    handle the boundary."""
+    half = kernel_half_width(path.grid, epsilon)
+    u = np.arange(-half, half + 1) * path.grid.dt / epsilon
     w = bump_kernel(u)
     w = w / w.sum()
     x2 = path.x2

@@ -42,7 +42,6 @@ class WindingResult:
     n_w: int
     delta_arg: float
     agreement: bool
-    min_radius: float
     refinement_stable: Optional[bool] = None
 
 
@@ -92,7 +91,6 @@ def count_windings_arrays(x1: np.ndarray, x2: np.ndarray) -> WindingResult:
     return WindingResult(
         n_up=n_up, n_down=n_down, n_w=n_w, delta_arg=delta_arg,
         agreement=abs(delta_arg / (2.0 * math.pi) - n_w) < 1.0,
-        min_radius=math.sqrt(float(np.min(x1 * x1 + x2 * x2))),
     )
 
 

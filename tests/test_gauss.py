@@ -286,6 +286,62 @@ class TestGenericRegression:
             generic_regression(np.eye(5))
 
 
+def _doubling_table(rho1, order):
+    """The d table as the closed form's predecessor computed it (reference):
+    the z-integral in closed form, the x'-integral by Gauss-Hermite,
+    doubling the node count from 64 until two tables agree to 1e-12.
+    hermegauss weights turn NaN past about 300 nodes, so this reference
+    serves only where it converges early (|rho1| <= 0.9)."""
+    rho2 = math.sqrt(1.0 - rho1 ** 2)
+    erfc = np.vectorize(math.erfc)
+
+    def table(n_nodes):
+        x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
+        w = w / w.sum()
+        a_kink = -rho1 * x / rho2
+        hx = [hermite(k, x) for k in range(order + 1)]
+        d = np.zeros((order + 1, order + 1))
+        for k3 in range(order + 1):
+            if k3 == 0:
+                inner = 1.0 - 0.5 * erfc(-a_kink * math.sqrt(0.5))
+            else:
+                inner = hermite(k3 - 1, a_kink) * np.exp(-0.5 * a_kink ** 2) / math.sqrt(TWO_PI)
+            base = w * x * inner
+            for k2 in range(order + 1 - k3):
+                d[k2, k3] = float(np.sum(base * hx[k2])) / (
+                    math.factorial(k2) * math.factorial(k3))
+        return d
+
+    n = 64
+    d = table(n)
+    while n < 4096:
+        n *= 2
+        d_next = table(n)
+        if np.max(np.abs(d_next - d)) < 1e-12:
+            return d_next
+        d = d_next
+    return d
+
+
+def _exact_rule_columns(rho1, order):
+    """Columns k3 >= 1 of the d table by one Gauss-Hermite rule (reference
+    for |rho1| -> 1): phi(x) phi(rho1 x / rho2) is rho2 / sqrt(2 pi) times
+    the N(0, rho2^2) density, so with x = rho2 y every entry is a Gaussian
+    moment of a polynomial of degree <= order in y, which order // 2 + 1
+    nodes integrate exactly."""
+    rho2 = math.sqrt(1.0 - rho1 ** 2)
+    y, w = np.polynomial.hermite_e.hermegauss(order // 2 + 1)
+    w = w / w.sum()
+    d = np.zeros((order + 1, order + 1))
+    for k3 in range(1, order + 1):
+        for k2 in range(order + 1 - k3):
+            moment = np.sum(w * rho2 * y * hermite(k2, rho2 * y)
+                            * hermite(k3 - 1, -rho1 * y))
+            d[k2, k3] = rho2 / math.sqrt(TWO_PI) * moment / (
+                math.factorial(k2) * math.factorial(k3))
+    return d
+
+
 class TestChaosCoefficients:
     def test_dirac_values(self):
         a = dirac_coefficients(8)
@@ -335,6 +391,24 @@ class TestChaosCoefficients:
             norms = [cc.partial_norm_sq(q) for q in range(9)]
             assert all(b >= a - 1e-15 for a, b in zip(norms, norms[1:]))
             assert norms[-1] <= g_norm_sq(rho1) + 1e-10
+
+    @pytest.mark.parametrize("rho1", [0.0, 0.3, -0.6, 0.9])
+    def test_d_table_matches_node_doubling(self, rho1):
+        d = chaos_coefficients(rho1, 8).d
+        assert np.max(np.abs(d - _doubling_table(rho1, 8))) <= 1e-15
+
+    @pytest.mark.parametrize("rho1", [0.95, 0.99, 0.999999, -0.999999])
+    def test_d_table_near_unit_rho1(self, rho1):
+        cc = chaos_coefficients(rho1, 8)
+        assert np.all(np.isfinite(cc.d))
+        assert cc.d[0, 0] == pytest.approx(rho1 / math.sqrt(TWO_PI), rel=1e-15)
+        assert cc.d[1, 0] == 0.5
+        for k2 in range(9):
+            for k3 in range(9 - k2):
+                if (k2 + k3) % 2 == 1 and (k2, k3) != (1, 0):
+                    assert cc.d[k2, k3] == 0.0
+        assert np.max(np.abs(cc.d[:, 1:] - _exact_rule_columns(rho1, 8)[:, 1:])) <= 1e-15
+        assert cc.partial_norm_sq(8) <= g_norm_sq(rho1) == 0.5
 
     def test_parameter_guards(self):
         with pytest.raises(ParameterError):

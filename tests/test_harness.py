@@ -404,10 +404,14 @@ class TestCli:
         def no_threads(*args, **kwargs):
             raise AssertionError("a rejected config started a worker pool")
 
+        def no_bound(*args, **kwargs):
+            raise AssertionError("a rejected config computed the two-alpha bound")
+
         # two CPUs, whatever the machine: the worker bound is checked
         # without starting a thread
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(harness, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(harness, "variance_bound_two_alpha", no_bound)
         cfg = {"model": IID_BF, "t_ladder": [5.0], "dt": 0.05,
                "replications": 10, **fields}
         path = tmp_path / "cfg.json"
@@ -438,3 +442,18 @@ class TestCli:
         assert body["result"]["model_class"] == "IID"
         assert body["result"]["independent"]["V_inf"] == pytest.approx(
             0.058643621347644, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_moments_near_unit_rho1_writes_finite_coefficients(self, tmp_path):
+        from windlab import cli
+        model = {"x2": {"family": "bargmann_fock"},
+                 "cross": {"type": "regression", "rho1": 0.99,
+                           "rz": {"family": "bargmann_fock"}}}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"model": model, "t_ladder": [5.0],
+                                        "dt": 0.05, "replications": 10}))
+        rc = cli.main(["moments", "--config", str(cfg_file),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0
+        text = (tmp_path / "out" / "chaos_coefficients.csv").read_text()
+        assert text.count("\nd,") == 45 and "nan" not in text

@@ -1,8 +1,8 @@
 """Everything but the CLT experiment runs on numpy alone: the array
 Gauss-Kronrod rule agrees with scipy's QUADPACK, the 5-smooth FFT length
 search with scipy.fft, the array conditional covariance with its scalar
-and Schur forms, the erfc normal CDF with scipy.special.ndtr, and a run of
-the scipy-free commands leaves scipy unimported."""
+and Schur forms, and a run of the scipy-free commands leaves scipy
+unimported."""
 import json
 import math
 import os
@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.fft import next_fast_len as scipy_next_fast_len
-from scipy.special import ndtr
 
 import windlab
-from windlab.gauss import (_ndtr, conditional_cov, generic_regression,
+from windlab.gauss import (conditional_cov, generic_regression,
                            joint_cov_matrix)
 from windlab.pathgen import GridSpec, next_fast_len
 from windlab.quadrature import _WG21, _WK21, _X21, adaptive_quad
@@ -83,12 +82,6 @@ def test_conditional_cov_on_arrays(fixture, request):
     assert corr.shape == (3, 7, 4, 4) and sd.shape == (3, 7, 4)
     one_corr, one_sd = conditional_cov(model, float(lags[1, 2])).correlations()
     assert np.array_equal(corr[1, 2], one_corr) and np.array_equal(sd[1, 2], one_sd)
-
-
-def test_erfc_normal_cdf_matches_ndtr():
-    x = np.linspace(-38.0, 9.0, 100_001)
-    assert np.max(np.abs(_ndtr(x) - ndtr(x))) <= 1e-15
-    assert _ndtr(x).dtype == float and _ndtr(x).shape == x.shape
 
 
 _RUN_WITHOUT_SCIPY = """
