@@ -114,6 +114,9 @@ class ExperimentConfig:
             raise ConfigError(f"every T in t_ladder must be positive, got {self.t_ladder}")
         if list(self.t_ladder) != sorted(set(self.t_ladder)):
             raise ConfigError("t_ladder must be strictly increasing")
+        if self.kind == "smoothing" and len(self.t_ladder) > 1:
+            raise ConfigError("a smoothing run has one horizon: t_ladder must "
+                              f"hold a single T, got {self.t_ladder}")
         eps = self.epsilon_ladder
         if eps is not None:
             if (not isinstance(eps, list) or not eps
@@ -367,6 +370,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
             "kurtosis": kurt, "kurtosis_se": math.sqrt(24.0 / m),
             "standardized_sample": [float(v) for v in std_sample],
             "small_t_regime": bool(T < 20.0),
+            "n_rejected": sim["n_rejected"],
             **sim["sampler"].diagnostics,
         })
     # no pass criterion in the pre-asymptotic regime
@@ -552,7 +556,7 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     if not cfg.epsilon_ladder:
         raise ConfigError("smoothing experiment needs epsilon_ladder")
     eps = [float(e) for e in cfg.epsilon_ladder]
-    T = cfg.t_ladder[-1]
+    (T,) = cfg.t_ladder  # one horizon, checked at load
     grid = GridSpec.from_dt(T, cfg.dt)
     for e in eps:  # an unresolvable ladder exits before the costly bound
         kernel_half_width(grid, e)
@@ -569,7 +573,9 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
         var_rate = float(np.var(vals, ddof=1)) / T if len(vals) > 1 else None
         se = var_rate * math.sqrt(2.0 / (len(vals) - 1)) if var_rate is not None else None
         row = {"epsilon": e, "var_rate": var_rate, "var_rate_se": se,
-               "bound": bound.bound_v_inf}
+               "bound": bound.bound_v_inf,
+               "n_rejected": int(np.count_nonzero(np.isnan(n_w[:, j]))),
+               **sampler.diagnostics}
         if var_rate is not None:
             row["pass"] = bool(var_rate <= bound.bound_v_inf + 3.0 * se)
         else:

@@ -36,7 +36,7 @@ from .errors import (CapabilityError, DivergenceError, HypothesisError,
                      ParameterError)
 from .gauss import (conditional_cov, g_norm_sq, orthant_angle,
                     quadrant_closed)
-from .pathgen import bump_kernel
+from .pathgen import bump_kernel, next_fast_len
 from .quadrature import adaptive_quad, integrate_to_infinity, tanh_sinh
 
 __all__ = [
@@ -55,7 +55,12 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _T_CUT = 1e-3  # below this lag the general integrand is extrapolated
-_TILE_BYTES = 1 << 19  # lags per column tile of _smoothed_corr_grid
+# the epsilon sweep of the two-alpha bound: the bump takes 2 _BUMP_HALF + 1
+# samples across [-eps, eps]; the lattice head covers [0, _HEAD eps], and
+# the tail's kernel sums take a bump of 2 _TAIL_HALF + 1 samples
+_BUMP_HALF = 1000
+_HEAD = 8
+_TAIL_HALF = 100
 
 
 @dataclass(frozen=True)
@@ -454,30 +459,73 @@ class TwoAlphaBound:
         return dict(self.__dict__)
 
 
-def _bump_autocorr(epsilon: float):
-    """Autocorrelation of the normalized bump kernel psi_eps, sampled at
-    2001 points; support [-2 eps, 2 eps].  Returns (offsets, weights) with
-    sum(weights) = 1."""
-    u = np.linspace(-1.0, 1.0, 2001)
+def _bump_autocorr(half: int):
+    """Autocorrelation K of the mass-normalized bump psi on [-1, 1] and its
+    derivative K', sampled at u_j = j/half for |j| <= 2 half (K lives on
+    [-2, 2]).  Returns (w, dw) with sum(w) = 1, scaled so that for the
+    kernel of width eps
+
+      (K_eps * f)(t)  ~ sum_j w_j f(t - eps u_j),
+      (K_eps * f)'(t) ~ sum_j dw_j f(t - eps u_j) / eps:
+
+    the derivative sits on the smooth bump, never on f."""
+    u = np.arange(-half, half + 1) / half
     psi = bump_kernel(u)
-    psi /= psi.sum()
-    k2 = np.convolve(psi, psi[::-1], mode="full")
-    off = (np.arange(k2.size) - 2000) * (u[1] - u[0]) * epsilon
-    return off, k2
+    dpsi = np.zeros_like(psi)
+    inner = slice(1, -1)  # psi' = -2u psi/(1 - u^2)^2 inside (-1, 1)
+    dpsi[inner] = -2.0 * u[inner] * psi[inner] / (1.0 - u[inner] ** 2) ** 2
+    mass_sq = psi.sum() ** 2
+    return (np.convolve(psi, psi[::-1]) / mass_sq,
+            np.convolve(psi, dpsi) / mass_sq)
 
 
-def _smoothed_corr_grid(model, epsilon, t_grid):
-    """Normalized covariance of X2 * psi_eps on t_grid.  The (offsets x
-    t_grid) lag matrix is built in column tiles of about _TILE_BYTES, so
-    the working set does not grow with the grid."""
-    off, w = _bump_autocorr(epsilon)
-    cols = max(1, _TILE_BYTES // (8 * off.size))
-    r_eps = np.empty(t_grid.size)
-    for j in range(0, t_grid.size, cols):
-        lags = t_grid[None, j:j + cols] - off[:, None]
-        r_eps[j:j + cols] = w @ np.asarray(model.r2(lags), float)
-    r0 = float(w @ np.asarray(model.r2(-off), float))
-    return r_eps / r0
+def _one_minus_r2(model, t):
+    """1 - r2(t), from 1 - r2^2 so that small lags keep their digits."""
+    return model.omr2sq(t) / (1.0 + model.r2(t))
+
+
+def _lattice_head(model, epsilon, g, w, dw):
+    """int theta_eps' dtheta_1 over [0, _HEAD eps] on the lattice t_m =
+    m delta, delta = eps/half, of the kernel (w, dw) of 4 half + 1 taps.
+    g holds 1 - r2 at the lags n delta,
+    -2 half <= n <= (_HEAD + 2) half, that the kernel sums reach, so r2's
+    cusp always falls on a tap.  Returns (value, C(0)), C the covariance
+    of the smoothed X2."""
+    n = next_fast_len(g.size)
+    spec = np.fft.rfft(g, n)
+    # D = K_eps * (1 - r2) and eps D' at t_m; a circular length n >= g.size
+    # leaves the outputs from w.size - 1 on clear of the wrap
+    d, d_prime = (np.fft.irfft(spec * np.fft.rfft(k, n), n)[w.size - 1:g.size]
+                  for k in (w, dw))
+    c0 = 1.0 - d[0]
+    omr = (d[1:] - d[0]) / c0  # 1 - rho_eps = (C(0) - C(t_m))/C(0)
+    # theta_eps' = -rho_eps'/sqrt(1 - rho_eps^2), with rho_eps' = -D'/C(0);
+    # at t = 0 (0/0) it is extrapolated: theta_eps' is even and smooth in t
+    th = np.empty(d.size)
+    th[1:] = d_prime[1:] / (epsilon * c0 * np.sqrt(omr * (2.0 - omr)))
+    th[0] = (4.0 * th[1] - th[2]) / 3.0
+    # theta_1 = arccos r1 by atan2, which keeps the digits of small lags,
+    # where theta_1 ~ sqrt(2) t^(alpha1/2)
+    t = np.arange(d.size) * (epsilon / ((w.size - 1) // 4))
+    th1 = np.arctan2(np.sqrt(model.omr1sq(t)), model.r1(t))
+    return float(0.5 * (th[1:] + th[:-1]) @ np.diff(th1)), c0
+
+
+def _tail_integrand(model, epsilon, c0, w, dw):
+    """t -> theta_eps'(t) theta_1'(t) on arrays t >= _HEAD eps.  There the
+    kernel window [t - 2 eps, t + 2 eps] is clear of r2's cusp, so the
+    coarse kernel (w, dw) resolves the smooth sums; C(0) = c0 comes from
+    the head so that both parts share one normalisation."""
+    half = (w.size - 1) // 4
+    off = np.arange(-2 * half, 2 * half + 1) * (epsilon / half)
+
+    def f(t):
+        g = _one_minus_r2(model, t[None, :] - off[:, None])
+        omr = (w @ g - (1.0 - c0)) / c0  # (D(t) - D(0))/C(0), D(0) = 1 - c0
+        th = (dw @ g) / (epsilon * c0 * np.sqrt(omr * (2.0 - omr)))
+        return th * -model.d_r1(t) / np.sqrt(model.omr1sq(t))
+
+    return f
 
 
 def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid,
@@ -485,6 +533,18 @@ def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid,
     """Smoothing-limit upper bound I/(2 pi^2) on limsup Var(N_W)/T for two
     independent alpha-processes with alpha1 + alpha2 > 2, plus the
     epsilon-smoothed coupling values showing convergence as eps -> 0.
+
+    With X2 smoothed by the bump kernel psi_eps (correlation rho_eps),
+    theta_eps = arccos rho_eps and theta_1 = arccos r1, each value is
+
+      i_eps = int_0^inf theta_eps' dtheta_1.
+
+    On [0, _HEAD eps] rho_eps and rho_eps' are kernel sums on the kernel's
+    own lattice (step eps/_BUMP_HALF) and the integral is a product
+    trapezoid against the closed-form theta_1, so theta_1's t^(alpha1/2)
+    start is integrated exactly.  The rest goes to integrate_to_infinity.
+    i_eps_err adds the head's change on a half-resolution bump to the
+    tail's error estimate.
     """
     a1 = model.meta.get("x1", {}).get("alpha")
     a2 = model.meta.get("x2", {}).get("alpha")
@@ -502,21 +562,22 @@ def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid,
     i_val, i_err, i_disagree = _coupling_integral(model, q)
     bound = i_val / (2.0 * math.pi ** 2)
 
-    # epsilon sweep on a graded grid
-    t_grid = np.unique(np.concatenate([
-        np.geomspace(1e-4, 1.0, 600), np.linspace(1.0, 30.0, 1200)]))
-    r1 = np.asarray(model.r1(t_grid), float)
-    d_r1 = np.asarray(model.d_r1(t_grid), float)
+    fine = _bump_autocorr(_BUMP_HALF)
+    coarse = _bump_autocorr(_BUMP_HALF // 2)
+    tail_kernel = _bump_autocorr(_TAIL_HALF)
+    n = np.arange(-2 * _BUMP_HALF, (_HEAD + 2) * _BUMP_HALF + 1)
     per_eps = []
     for e in eps:
-        rho = _smoothed_corr_grid(model, e, t_grid)
-        drho = np.gradient(rho, t_grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = (drho / np.sqrt(np.maximum(1.0 - rho ** 2, 1e-300))
-                         * d_r1 / np.sqrt(np.maximum(1.0 - r1 ** 2, 1e-300)))
-        integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-        i_eps = float(np.trapezoid(integrand, t_grid))
+        g = _one_minus_r2(model, n * (e / _BUMP_HALF))
+        head, c0 = _lattice_head(model, e, g, *fine)
+        head_coarse, _ = _lattice_head(model, e, g[::2], *coarse)
+        t0 = _HEAD * e
+        tail, tail_err = integrate_to_infinity(
+            _tail_integrand(model, e, c0, *tail_kernel), t0,
+            q.abs_tol, q.rel_tol, t_max=max(q.t_max or 25.0, 2.0 * t0))
+        i_eps = head + tail
         per_eps.append({"epsilon": float(e), "i_eps": i_eps,
+                        "i_eps_err": abs(head - head_coarse) + tail_err,
                         "v_eps": i_eps / (2.0 * math.pi ** 2)})
     return TwoAlphaBound(
         i_integral=i_val, i_err=i_err + i_disagree, bound_v_inf=bound,

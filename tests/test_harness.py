@@ -84,6 +84,19 @@ class TestSamplerDiagnostics:
             assert (row["embedding_length"], row["pad"]) == (2000, 1)
             assert 0.0 <= row["clipped_mass"] <= 1e-12
 
+    def test_every_monte_carlo_row_counts_rejections(self):
+        smooth = small_cfg(model=TWO_ALPHA, kind="smoothing",
+                           epsilon_ladder=[0.4, 0.2], t_ladder=[10.0],
+                           replications=10)
+        for rep, key in ((run_expectation(small_cfg(replications=10)), "rows"),
+                         (run_variance(small_cfg(kind="variance",
+                                                 replications=10)), "rows"),
+                         (run_clt(small_cfg(kind="clt", replications=10)), "per_t"),
+                         (run_smoothing(smooth), "rows")):
+            for row in rep["result"][key]:
+                assert row["n_rejected"] == 0
+                assert {"clipped_mass", "embedding_length", "pad"} <= set(row)
+
     def test_rows_record_other_backends(self):
         rep = run_expectation(small_cfg(backend="cholesky", t_ladder=[5.0],
                                         dt=0.05, replications=10))
@@ -396,6 +409,8 @@ class TestCli:
         # the kernel spans more steps than the default T = 5 grid has
         ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [8.0, 0.5]}, [],
          "epsilon"),
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [0.4, 0.2],
+                    "t_ladder": [5.0, 10.0]}, [], "t_ladder"),
     ])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys,
                                 command, fields, flags, message):

@@ -14,6 +14,7 @@ from windlab.moments import (QuadratureSpec, chaos_projection_variances,
                              expectation_rate, var_I1,
                              variance_bound_two_alpha, variance_rate_general,
                              variance_rate_independent, variance_WT_route)
+from windlab.pathgen import bump_kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,6 +26,10 @@ V_INF_IID_BF = I_IID_BF / (2.0 * math.pi ** 2)       # 0.058643621347644
 I_OU_BF = 1.295287794277272
 V_INF_OU_BF = I_OU_BF / (2.0 * math.pi ** 2)
 I_ALPHA12 = 3.267607662487587
+# i_eps of two alpha = 1.2 processes at eps = 0.4, 0.2, 0.1, 0.05: lattice
+# sums with bumps of 2001 and 8001 points agree to 6e-8, and a cusp-split
+# quadrature of the continuous kernel to 5e-5
+I_EPS_ALPHA12 = (1.7011062, 1.9250399, 2.1084833, 2.2627955)
 V_T200_IID_BF = 0.0593727880163                      # finite-horizon rate
 
 
@@ -264,12 +269,51 @@ class TestTwoAlphaBound:
         # smoothed functionals stay below the limit bound
         assert all(v <= rep.bound_v_inf + 1e-9 for v in vals)
 
+    def test_epsilon_values_pinned_and_errors_bound_brute_force(self):
+        m = make_alpha_process(1.2)
+        rep = variance_bound_two_alpha(m, [0.4, 0.2, 0.1, 0.05])
+        for row, pinned in zip(rep.per_epsilon, I_EPS_ALPHA12):
+            assert row["i_eps"] == pytest.approx(pinned, rel=1e-6)
+            assert row["v_eps"] == row["i_eps"] / (2 * math.pi ** 2)
+            ref = _brute_force_i_eps(m, row["epsilon"])
+            assert abs(row["i_eps"] - ref) <= row["i_eps_err"] <= 1e-6
+
     def test_epsilon_grid_validation(self):
         m = make_alpha_process(1.2)
         with pytest.raises(ParameterError):
             variance_bound_two_alpha(m, [0.1, 0.2])
         with pytest.raises(ParameterError):
             variance_bound_two_alpha(m, [])
+
+
+def _brute_force_i_eps(model, eps, half=4000, t_end=8.0):
+    """i_eps = int theta_eps' dtheta_1 on one uniform lattice of step
+    eps/half over [0, t_end], with a bump of 2 half + 1 points (4x the
+    resolution of variance_bound_two_alpha) and every kernel sum an FFT
+    convolution of 1 - r2.  Past t = 8 the integrand is below 1e-10."""
+    u = np.arange(-half, half + 1) / half
+    psi = bump_kernel(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dpsi = np.where(psi > 0, -2.0 * u * psi / (1.0 - u * u) ** 2, 0.0)
+    mass_sq = psi.sum() ** 2
+    k = np.convolve(psi, psi[::-1]) / mass_sq
+    dk = np.convolve(psi, dpsi) / mass_sq / eps  # (K_eps)' on the lattice
+    delta = eps / half
+    lags = np.arange(-2 * half, round(t_end / delta) + 2 * half + 1) * delta
+    one_minus_r2 = model.omr2sq(lags) / (1.0 + model.r2(lags))
+    n = 1 << lags.size.bit_length()
+    spec = np.fft.rfft(one_minus_r2, n)
+    valid = slice(k.size - 1, lags.size)
+    d = np.fft.irfft(spec * np.fft.rfft(k, n), n)[valid]
+    d_prime = np.fft.irfft(spec * np.fft.rfft(dk, n), n)[valid]
+    c0 = 1.0 - d[0]
+    rho = 1.0 - (d - d[0]) / c0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta_eps = d_prime / c0 / np.sqrt((1.0 - rho) * (1.0 + rho))
+    theta_eps[0] = 2.0 * theta_eps[1] - theta_eps[2]
+    t = np.arange(d.size) * delta
+    theta_1 = np.arctan2(np.sqrt(model.omr1sq(t)), model.r1(t))  # arccos r1
+    return float(0.5 * (theta_eps[1:] + theta_eps[:-1]) @ np.diff(theta_1))
 
 
 def test_quadrature_spec_validation():
