@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 
 from .covmodel import check_conditions, classify
-from .errors import WindlabError
+from .errors import ConfigError, WindlabError
 from .harness import (ExperimentConfig, _report, report_to_json, run_clt,
                       run_expectation, run_lemma_check, run_smoothing,
                       run_variance, write_report)
@@ -62,6 +62,18 @@ def _load_config(args, kind):
     overrides = {"seed": args.seed, "workers": args.workers, "out_dir": args.out}
     return replace(cfg, kind=kind,
                    **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _prepare_out_dir(out_dir) -> None:
+    """Create the report directory before the experiment runs, so that an
+    unusable path fails at once rather than after the run."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(
+            f"output directory {out_dir}: {e.strerror or e}") from None
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {out_dir}: not writable")
 
 
 def export_chaos_coefficients_csv(rho1: float, order: int, path) -> None:
@@ -111,11 +123,10 @@ def main(argv=None) -> int:
     kind, runner = commands[args.command]
     try:
         cfg = _load_config(args, kind)
+        if cfg.out_dir:
+            _prepare_out_dir(cfg.out_dir)
         report = runner(cfg)
     except WindlabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

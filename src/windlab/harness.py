@@ -147,8 +147,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ConfigError(f"config {path}: {e.strerror or e}") from None
+        return cls.from_json(text)
 
     def build_model(self) -> CovarianceModel:
         return model_from_spec(self.model)
@@ -628,6 +632,13 @@ def _rows_of(report):
     return None
 
 
+def _csv_field(value) -> str:
+    """The JSON text of a value, CSV-quoted when it holds a comma (a list
+    such as kept_bins)."""
+    text = json.dumps(value, default=str)
+    return '"' + text.replace('"', '""') + '"' if "," in text else text
+
+
 def report_to_csv(report: dict) -> str:
     """CSV mirror of the tabular section of a report."""
     rows = _rows_of(report)
@@ -636,7 +647,7 @@ def report_to_csv(report: dict) -> str:
     cols = [c for c in rows[0] if c != "standardized_sample"]
     out = [",".join(cols)]
     for r in rows:
-        out.append(",".join(json.dumps(r.get(c), default=str) for c in cols))
+        out.append(",".join(_csv_field(r.get(c)) for c in cols))
     return "\n".join(out) + "\n"
 
 

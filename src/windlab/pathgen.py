@@ -57,6 +57,7 @@ __all__ = [
 CHOLESKY_N_CAP = 4096
 _EIG_TOL = -1e-10
 _CLIP_WARN = 1e-8
+_BAND_TOL = 1e-13  # circulant weight share a noise channel may leave undrawn
 _CLIP_FAIL = 1e-3
 _SLAB_BYTES = 1 << 20  # circulant noise per synthesis slab
 
@@ -347,8 +348,11 @@ class CirculantSampler(_Sampler):
     covering 2(n-1) lags (Wood & Chan 1994); negative embedding eigenvalues
     trigger padding doubling up to 8x, after which remaining negative mass
     is clipped and recorded.  Each coordinate is one real inverse FFT of
-    Hermitian half-spectrum noise: every one of its L normals is used
-    (Dietrich & Newsam 1997)."""
+    Hermitian half-spectrum noise (Dietrich & Newsam 1997).  Noise channel
+    c draws normals only for its first K_c half-spectrum bins, the fewest
+    whose dropped weight is at most _BAND_TOL of the channel's total; the
+    bins above stay zero.  A channel that keeps every bin draws L normals,
+    so rough (alpha, OU) coordinates see the full stream."""
 
     backend = "circulant"
 
@@ -370,7 +374,8 @@ class CirculantSampler(_Sampler):
     @property
     def diagnostics(self) -> dict:
         return {"clipped_mass": self.clipped_mass, "embedding_length": self.L,
-                "pad": self.pad}
+                "pad": self.pad, "kept_bins": list(self.kept_bins),
+                "truncated_mass": self.truncated_mass}
 
     def _build(self, pad) -> bool:
         self.L = L = next_fast_len(max(2 * (self.grid.n - 1), 2) * pad)
@@ -396,36 +401,60 @@ class CirculantSampler(_Sampler):
             w, v = np.linalg.eigh(G)
             # irfft keeps only the real part of the real bins: real factors
             w[real_bins], v[real_bins] = np.linalg.eigh(G[real_bins].real)
+            del G
+        # free the lag-domain arrays before the band search and the
+        # factors, so that they do not raise the build's peak memory
+        del k, tau, g11, g22
         neg = float(np.sum(mult[:, None] * np.clip(w, None, 0.0)))
         self.clipped_mass = -neg / float(np.sum(mult[:, None] * np.abs(w)))
+        w = np.clip(w, 0.0, None)
+        # channel c's weight in bin k is |fac_k|^2 mult_k = L w_k (the
+        # eigenvectors are unit columns); keep the bins below K_c, where the
+        # weight above K_c is at most _BAND_TOL of the channel's total
+        kept, dropped = [], []
+        for c in range(2):
+            tail = np.cumsum(w[::-1, c])  # tail[j]: weight in the last j + 1 bins
+            m = int(np.searchsorted(tail, _BAND_TOL * tail[-1], side="right"))
+            kept.append(len(tail) - m)
+            dropped.append(float(tail[m - 1] / tail[-1]) if m else 0.0)
+        self.kept_bins, self.truncated_mass = tuple(kept), max(dropped)
         # complex bins carry (a + ib)/sqrt(2): unit variance from two normals
-        amp = np.sqrt(L * np.clip(w, 0.0, None) / mult[:, None])
+        amp = np.sqrt(L * w / mult[:, None])
         self._fac = (amp.T if self.independent             # (2, bins): diagonal
                      else np.transpose(v * amp[:, None, :], (1, 2, 0)))  # (2, 2, bins)
         return self.clipped_mass <= 1e-12  # float-noise negativity is fine
 
     def sample_batch(self, seed: int, streams) -> np.ndarray:
-        """Stream s draws its 2L normals from its own Philox key; slabs of
-        about _SLAB_BYTES of noise bound the working set for any n."""
-        L = self.L
+        """Stream s draws min(2 K_c - 1, L) normals per channel c from its
+        own Philox key, channel 0 first; slabs of about _SLAB_BYTES of
+        half-spectrum bound the working set for any n."""
+        L, K = self.L, max(self.kept_bins)
+        draws = [min(2 * k - 1, L) for k in self.kept_bins]
+        fac = self._fac[..., :K]
         out = np.empty((len(streams), 2, self.grid.n))
         per = max(1, _SLAB_BYTES // (32 * (L // 2 + 1)))
+        # bins from K up are never written, so they stay zero in every slab
+        W = np.zeros((min(per, len(streams)), 2, L // 2 + 1), complex)
+        re_im = W.view(float)
         for a in range(0, len(streams), per):
             slab = streams[a:a + per]
-            W = np.empty((len(slab), 2, L // 2 + 1), complex)
-            re_im = W.view(float)
-            # normals fill re/im slots 1..L: bin 0's imaginary slot (copied
-            # to its real slot below), then the rest in order; an even L
-            # leaves the Nyquist bin's imaginary slot over, zeroed
+            Wk = W[:len(slab), :, :K]
+            # normals fill re/im slots 1..draws[c]: bin 0's imaginary slot
+            # (copied to its real slot below), then the rest in order; the
+            # slots left below bin K are zeroed, among them an even L's
+            # Nyquist imaginary slot
             for i, s in enumerate(slab):
-                re_im[i, :, 1:L + 1] = _rng(seed, s).standard_normal((2, L))
-            re_im[..., L + 1:] = 0.0
-            W.real[..., 0] = W.imag[..., 0]
+                rng = _rng(seed, s)
+                for c, d in enumerate(draws):
+                    rng.standard_normal(out=re_im[i, c, 1:d + 1])
+            for c, d in enumerate(draws):
+                re_im[:len(slab), c, d + 1:2 * K] = 0.0
+            Wk.real[..., 0] = Wk.imag[..., 0]
             if self.independent:
-                W *= self._fac
+                Wk *= fac
             else:
-                W = self._fac[:, 0] * W[:, :1] + self._fac[:, 1] * W[:, 1:]
-            out[a:a + per] = np.fft.irfft(W, n=L, axis=-1)[..., :self.grid.n]
+                Wk[...] = fac[:, 0] * Wk[:, :1] + fac[:, 1] * Wk[:, 1:]
+            out[a:a + per] = np.fft.irfft(W[:len(slab)], n=L, axis=-1)[..., :self.grid.n]
         return out
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -95,7 +96,10 @@ class TestSamplerDiagnostics:
                          (run_smoothing(smooth), "rows")):
             for row in rep["result"][key]:
                 assert row["n_rejected"] == 0
-                assert {"clipped_mass", "embedding_length", "pad"} <= set(row)
+                assert {"clipped_mass", "embedding_length", "pad",
+                        "kept_bins", "truncated_mass"} <= set(row)
+                assert len(row["kept_bins"]) == 2
+                assert 0.0 <= row["truncated_mass"] <= 1e-13
 
     def test_rows_record_other_backends(self):
         rep = run_expectation(small_cfg(backend="cholesky", t_ladder=[5.0],
@@ -132,9 +136,13 @@ class TestVarianceRun:
 
     def test_csv_mirror(self):
         rep = run_variance(small_cfg(kind="variance", replications=120))
-        csv = report_to_csv(rep)
-        assert csv.splitlines()[0].startswith("T,")
-        assert len(csv.splitlines()) == 2
+        text = report_to_csv(rep)
+        assert text.startswith("T,")
+        # one field per column, the kept_bins list quoted
+        header, row = csv.reader(text.splitlines())
+        assert len(row) == len(header)
+        assert json.loads(row[header.index("kept_bins")]) == \
+            rep["result"]["rows"][0]["kept_bins"]
 
     def test_general_model_uses_finite_horizon_reference(self):
         cfg = small_cfg(kind="variance",
@@ -159,12 +167,22 @@ class TestVarianceRun:
         rep = run_variance(cfg)
         assert json.loads(report_to_json(rep))["result"]["trend_steps"] == 1
 
-    def test_independent_model_uses_finite_horizon_reference(self):
-        # the shipped iid config's T = 25 row: its CI excludes V_inf but
-        # covers the V_T(25) that a 25-window sample estimates
+    def test_independent_model_uses_finite_horizon_reference(self, monkeypatch):
+        # the shipped iid config's T = 25 row, on fixed counts whose sample
+        # variance is V_T(25): its CI excludes V_inf but covers the V_T(25)
+        # that a 25-window sample estimates
+        from types import SimpleNamespace
+        from windlab import harness
         cfg = ExperimentConfig.from_file(
             os.path.join(CONFIGS, "iid_bargmann_fock_variance.json"))
         cfg.t_ladder = [25.0]
+        # 796 each of -1 and +1, 204 each of -2 and +2: mean 0, variance
+        # 3224/1999, within 0.06% of 25 V_T(25)
+        n_w = np.repeat([-2.0, -1.0, 1.0, 2.0], [204, 796, 796, 204])
+        assert len(n_w) == cfg.replications
+        monkeypatch.setattr(harness, "simulate_windings", lambda *a, **k: {
+            "n_w": n_w, "accepted": np.ones(len(n_w), bool), "n_rejected": 0,
+            "sampler": SimpleNamespace(diagnostics={})})
         rep = run_variance(cfg)
         row = rep["result"]["rows"][0]
         assert rep["result"]["independent"]
@@ -435,6 +453,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["file", "under_file", "read_only",
+                                       "config_dir"])
+    def test_unusable_paths_exit_2_before_the_run(self, tmp_path, monkeypatch,
+                                                  capsys, where):
+        from windlab import cli
+
+        def no_run(cfg):
+            raise AssertionError("the experiment ran on an unusable path")
+
+        monkeypatch.setattr(cli, "run_expectation", no_run)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(small_cfg().to_json())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        config, out = str(cfg_file), str(tmp_path / "out")
+        if where == "file":
+            out = str(taken)
+        elif where == "under_file":
+            out = str(taken / "out")
+        elif where == "read_only":
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        else:
+            config = str(tmp_path)
+        assert cli.main(["simulate", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert (config if where == "config_dir" else out) in err
+        assert "Traceback" not in err
+        assert taken.read_text() == ""
 
     def test_seed_and_format_overrides(self, tmp_path, capsys):
         from windlab import cli

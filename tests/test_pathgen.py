@@ -255,7 +255,12 @@ class TestCirculant:
             worst = max(worst, float(np.max(np.abs(prod.mean(axis=0) - want) / se)))
         assert worst < 4.5
 
-    def test_draws_2L_normals_per_path(self, iid_bf, regression03, monkeypatch):
+    def test_normals_per_path_follow_kept_bins(self, iid_bf, ou_bf,
+                                               regression03, monkeypatch):
+        # a channel keeping K of the L//2 + 1 bins draws 2K - 1 normals; a
+        # channel keeping every bin draws L (an even L's Nyquist bin takes
+        # one normal), so an alpha model draws 2L and OU x BF's OU channel L
+        from windlab.covmodel import make_alpha_process
         drawn = []
 
         class Counting(np.random.Generator):
@@ -266,17 +271,83 @@ class TestCirculant:
 
         monkeypatch.setattr(pathgen, "_rng", lambda seed, stream: Counting(
             np.random.Philox(key=[seed, stream])))
-        for model in (iid_bf, regression03):
+        alpha = make_alpha_process(1.2)
+        for model in (iid_bf, ou_bf, regression03, alpha):
             for n in (61, 62):
                 s = CirculantSampler(model, GridSpec(T=(n - 1) * 0.2, n=n))
+                bins = s.L // 2 + 1
                 drawn.clear()
                 s.sample_batch(3, range(7))
-                assert sum(drawn) == 2 * s.L * 7
+                if model is alpha:
+                    assert s.kept_bins == (bins, bins)
+                    assert sum(drawn) == 2 * s.L * 7
+                elif model is ou_bf:
+                    assert s.kept_bins[0] == bins and s.kept_bins[1] < bins
+                    assert sum(drawn) == (s.L + 2 * s.kept_bins[1] - 1) * 7
+                else:
+                    assert max(s.kept_bins) < bins
+                    assert sum(drawn) == sum(2 * k - 1 for k in s.kept_bins) * 7
+
+    @staticmethod
+    def _full_draw(s, seed, streams):
+        """Every bin drawn: 2L normals per stream into the half-spectrum,
+        as the sampler did before it dropped the empty bins."""
+        L = s.L
+        W = np.empty((len(streams), 2, L // 2 + 1), complex)
+        re_im = W.view(float)
+        for i, stream in enumerate(streams):
+            re_im[i, :, 1:L + 1] = pathgen._rng(seed, stream).standard_normal((2, L))
+        re_im[..., L + 1:] = 0.0
+        W.real[..., 0] = W.imag[..., 0]
+        W *= s._fac
+        return np.fft.irfft(W, n=L, axis=-1)[..., :s.grid.n]
+
+    @pytest.mark.parametrize("n", [61, 62, 1001])
+    def test_full_band_channels_match_the_full_draw(self, ou_bf, n):
+        # alpha coordinates keep every bin: bitwise today's paths; OU x BF
+        # keeps every OU bin, and its x1 draws the stream's first L normals
+        from windlab.covmodel import make_alpha_process
+        grid = GridSpec(T=(n - 1) * 0.05, n=n)
+        alpha = CirculantSampler(make_alpha_process(1.2), grid)
+        assert np.array_equal(alpha.sample_batch(4, [0, 5, 2]),
+                              self._full_draw(alpha, 4, [0, 5, 2]))
+        ou = CirculantSampler(ou_bf, grid)
+        assert ou.kept_bins[1] < ou.kept_bins[0] == ou.L // 2 + 1
+        assert np.array_equal(ou.sample_batch(4, [0, 5, 2])[:, 0],
+                              self._full_draw(ou, 4, [0, 5, 2])[:, 0])
+
+    @pytest.mark.parametrize("name", ["iid_bf", "regression03"])
+    def test_band_limited_lag_covariance(self, name, request):
+        # T = 10, dt = 0.01: 25 of the 1001 bins carry the spectrum.  The
+        # four lag covariances of 20000 paths, drawn 500 at a time, against
+        # the model at every grid lag within 4.5 SE
+        model = request.getfixturevalue(name)
+        grid = GridSpec.from_dt(10.0, 0.01)
+        s = CirculantSampler(model, grid)
+        assert s.L // 2 + 1 == 1001 and max(s.kept_bins) <= 25
+        assert s.truncated_mass <= 1e-13
+        n_rep, chunk = 20_000, 500
+        acc = np.zeros((2, 4, grid.n))  # sums and sums of squares
+        for a in range(0, n_rep, chunk):
+            x = s.sample_batch(11, range(a, a + chunk))
+            x1, x2 = x[:, 0], x[:, 1]
+            prods = np.stack([x1 * x1[:, :1], x2 * x2[:, :1],
+                              x1 * x2[:, :1], x1[:, :1] * x2], axis=1)
+            acc[0] += prods.sum(axis=0)
+            acc[1] += (prods ** 2).sum(axis=0)
+        mean = acc[0] / n_rep
+        se = np.sqrt((acc[1] / n_rep - mean ** 2) / (n_rep - 1))
+        t = grid.times()
+        want = np.stack([model.r1(t), model.r2(t), model.r12(t), model.r12(-t)])
+        assert float(np.max(np.abs(mean - want) / se)) < 4.5
 
     def test_meta_records_embedding(self, iid_bf):
         p = sample_circulant(iid_bf, GridSpec(T=12.2, n=62), 1)
         assert (p.meta["embedding_length"], p.meta["pad"]) == (125, 1)
         assert p.meta["clipped_mass"] <= 1e-12
+        assert p.meta["kept_bins"] == list(CirculantSampler(
+            iid_bf, p.grid).kept_bins)
+        assert 0.0 < p.meta["truncated_mass"] <= 1e-13
 
     def test_perf_scaling(self, iid_bf):
         # n log n growth: quadrupling n must not blow up the cost
