@@ -10,7 +10,7 @@ from .covmodel import (CovarianceModel, CovFamily, ModelClass, alpha_family,
                        bargmann_fock, check_conditions, classify,
                        make_alpha_process, make_iid_model,
                        make_independent_model, make_regression_model,
-                       model_from_spec, model_to_spec, ornstein_uhlenbeck)
+                       model_from_spec, ornstein_uhlenbeck)
 from .errors import (AliasingError, CapabilityError, ConfigError,
                      DegenerateConditioningError, DivergenceError, DomainError,
                      HypothesisError, ModelError, ParameterError,
@@ -29,7 +29,6 @@ from .moments import (MomentReport, QuadratureSpec, chaos_projection_variances,
                       variance_WT_route)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec, SamplePath,
                       SpectralSampler, export_path_csv, load_path_csv,
-                      sample_cholesky, sample_circulant, sample_spectral,
                       smooth_path)
 from .winding import (SmoothedWinding, WindingResult, count_windings,
                       count_windings_arrays, count_windings_refined,

@@ -45,7 +45,6 @@ __all__ = [
     "classify",
     "check_conditions",
     "model_from_spec",
-    "model_to_spec",
     "numeric_diff",
 ]
 
@@ -82,7 +81,7 @@ class CovFamily:
 
 
 def bargmann_fock() -> CovFamily:
-    """r(t) = exp(-t^2/2); analytic, -r''(0) = 1 already."""
+    """r(t) = exp(-t^2/2); analytic, -r''(0) = 1."""
     e = lambda t: np.exp(-np.asarray(t, float) ** 2 / 2.0)
     return CovFamily(
         name="bargmann_fock",
@@ -170,28 +169,6 @@ def family_from_name(name: str, **params) -> CovFamily:
     return _FAMILIES[name](**params)
 
 
-def rescale_family(fam: CovFamily) -> CovFamily:
-    """Rescale time so that -r''(0) = 1; returns the family unchanged when
-    already normalized.  The scale factor is recorded in params."""
-    if not fam.differentiable or fam.lambda2 is None:
-        return fam
-    lam2 = fam.lambda2
-    if abs(lam2 - 1.0) <= 1e-12:
-        return fam
-    s = math.sqrt(lam2)
-    wrap = lambda g, p: (None if g is None else (lambda t, g=g, s=s, p=p: g(np.asarray(t, float) / s) / s ** p))
-    f_new = None
-    if fam.f is not None:
-        f_new = lambda lam, f=fam.f, s=s: s * f(np.asarray(lam, float) * s)
-    return CovFamily(
-        name=fam.name, r=wrap(fam.r, 0), d_r=wrap(fam.d_r, 1), dd_r=wrap(fam.dd_r, 2),
-        d3_r=wrap(fam.d3_r, 3), d4_r=wrap(fam.d4_r, 4), f=f_new,
-        differentiable=True, lambda2=1.0,
-        params={**fam.params, "time_scale": s},
-        one_minus_r_sq=wrap(fam.one_minus_r_sq, 0),
-    )
-
-
 def numeric_diff(f, t, order=1):
     """Central difference with one Richardson step; returns (value, error).
 
@@ -275,16 +252,14 @@ def _check_x2(fam: CovFamily):
         raise CapabilityError(
             f"family '{fam.name}' is not differentiable in quadratic mean; "
             "it cannot be the X2 coordinate of a winding model")
-    fam = rescale_family(fam)
     if abs(float(fam.dd_r(0.0)) + 1.0) > 1e-10:
         raise ParameterError("second coordinate not normalized: -r2''(0) != 1")
-    return fam
 
 
 def make_independent_model(fam1: CovFamily, fam2: CovFamily) -> CovarianceModel:
     """Independent coordinates: r12 identically zero."""
     if fam2.differentiable:
-        fam2 = _check_x2(fam2)
+        _check_x2(fam2)
     return CovarianceModel(
         r1=fam1.r, r2=fam2.r, r12=_ZERO,
         d_r1=fam1.d_r, d_r2=fam2.d_r, dd_r2=fam2.dd_r,
@@ -324,7 +299,7 @@ def make_regression_model(fam2: CovFamily, rz: CovFamily, rho1: float) -> Covari
     """
     if not abs(rho1) < 1.0:
         raise ParameterError(f"rho1 must satisfy |rho1| < 1, got {rho1}")
-    fam2 = _check_x2(fam2)
+    _check_x2(fam2)
     if abs(float(rz.r(0.0)) - 1.0) > 1e-12:
         raise ParameterError("rZ(0) must equal 1")
     rho2 = math.sqrt(1.0 - rho1 ** 2)
@@ -360,14 +335,10 @@ def make_regression_model(fam2: CovFamily, rz: CovFamily, rho1: float) -> Covari
 # ----------------------------------------------------------------------
 # classification and condition diagnostics
 # ----------------------------------------------------------------------
-def classify(model: CovarianceModel, lag_grid=None) -> ModelClass:
+def classify(model: CovarianceModel) -> ModelClass:
     """Sort the model into the sub-model taxonomy by evaluating the lag
     functions on a grid; lag functions within 1e-12 count as equal."""
-    if lag_grid is None:
-        lag_grid = np.concatenate([np.linspace(0.05, 8.0, 64), [0.317, 1.414, 2.718]])
-    g = np.asarray(lag_grid, float)
-    if g.size == 0:
-        raise ParameterError("lag_grid must be non-empty")
+    g = np.concatenate([np.linspace(0.05, 8.0, 64), [0.317, 1.414, 2.718]])
     r12p, r12m = np.asarray(model.r12(g), float), np.asarray(model.r12(-g), float)
     cross_zero = max(np.max(np.abs(r12p)), np.max(np.abs(r12m))) <= 1e-12
     same_marg = np.max(np.abs(np.asarray(model.r1(g)) - np.asarray(model.r2(g)))) <= 1e-12
@@ -507,16 +478,3 @@ def model_from_spec(spec) -> CovarianceModel:
         )
     raise ParameterError(f"unrecognized cross specification: {cross!r}")
 
-
-def model_to_spec(model: CovarianceModel) -> dict:
-    c = model.meta.get("construction")
-    if c == "iid":
-        return {"x": dict(model.meta["x2"]), "cross": "iid"}
-    if c == "independent":
-        return {"x1": dict(model.meta["x1"]), "x2": dict(model.meta["x2"]),
-                "cross": "independent"}
-    if c == "regression":
-        return {"x2": dict(model.meta["x2"]),
-                "cross": {"type": "regression", "rho1": model.meta["rho1"],
-                          "rz": dict(model.meta["rz"])}}
-    raise ParameterError("model was not built from a spec-able construction")

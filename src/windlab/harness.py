@@ -114,6 +114,9 @@ class ExperimentConfig:
             raise ConfigError(f"every T in t_ladder must be positive, got {self.t_ladder}")
         if list(self.t_ladder) != sorted(set(self.t_ladder)):
             raise ConfigError("t_ladder must be strictly increasing")
+        if self.kind == "clt" and self.replications < 2:
+            raise ConfigError("a clt run needs replications >= 2 for its "
+                              f"sample variance and moments, got {self.replications}")
         if self.kind == "smoothing" and len(self.t_ladder) > 1:
             raise ConfigError("a smoothing run has one horizon: t_ladder must "
                               f"hold a single T, got {self.t_ladder}")
@@ -257,6 +260,7 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
     """MC mean of N_W vs T * expectation_rate, pass at 3 standard errors."""
     model = cfg.build_model()
     rate = expectation_rate(model)
+    paths_dir = _paths_dir(cfg)
     rows = []
     for T in cfg.t_ladder:
         sim = simulate_windings(model, T, cfg.dt, cfg.backend, cfg.seed,
@@ -276,7 +280,12 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
         else:
             row["pass"] = bool(abs(mean - theory) <= 3.0 * se) if se > 0 else bool(mean == theory)
         rows.append(row)
-        _export_paths(cfg, sim["sampler"], T)
+        # the first export_paths streams, drawn again by sampler.sample
+        # (the same paths the run counted)
+        if paths_dir:
+            for s in range(min(cfg.export_paths, cfg.replications)):
+                export_path_csv(sim["sampler"].sample(cfg.seed, s),
+                                os.path.join(paths_dir, f"path_T{T:g}_{s:05d}.csv"))
     ok = all(r["pass"] is not False for r in rows)
     return _report("expectation", cfg, {"expectation_rate": rate, "rows": rows}, ok)
 
@@ -609,15 +618,18 @@ def _report(kind, cfg, body, ok) -> dict:
     }
 
 
-def _export_paths(cfg, sampler, T):
-    """CSV of the first ``export_paths`` streams at horizon T, drawn again
-    by sampler.sample (the same paths the run counted)."""
+def _paths_dir(cfg):
+    """<out_dir>/paths when the run exports paths, else None.  It is made
+    before the first horizon, so that an unusable path fails at once
+    rather than after the run."""
     if not cfg.export_paths or not cfg.out_dir:
-        return
-    os.makedirs(os.path.join(cfg.out_dir, "paths"), exist_ok=True)
-    for s in range(min(cfg.export_paths, cfg.replications)):
-        export_path_csv(sampler.sample(cfg.seed, s),
-                        os.path.join(cfg.out_dir, "paths", f"path_T{T:g}_{s:05d}.csv"))
+        return None
+    d = os.path.join(cfg.out_dir, "paths")
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"path export directory {d}: {e.strerror or e}") from None
+    return d
 
 
 def report_to_json(report: dict) -> str:

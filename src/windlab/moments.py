@@ -362,6 +362,15 @@ def var_I1(model: CovarianceModel, T: float) -> float:
     return (a0 * d10) ** 2 * (2.0 / T) * (1.0 - float(model.r2(T)))
 
 
+def _half_line(f, split, q, t_max=25.0):
+    """(value, error) of the integral of f over [0, inf): adaptive_quad on
+    [0, split] plus integrate_to_infinity from split, at q's tolerances."""
+    head, e_head = adaptive_quad(f, 0.0, split, q.abs_tol, q.rel_tol)
+    tail, e_tail = integrate_to_infinity(f, split, q.abs_tol, q.rel_tol,
+                                         t_max=t_max)
+    return head + tail, e_head + e_tail
+
+
 def chaos_projection_variances(model: CovarianceModel,
                                q: QuadratureSpec = QuadratureSpec()) -> dict:
     """Limits of Var(I_2(T)) and (independent models) Var(I_4(T)).
@@ -381,26 +390,20 @@ def chaos_projection_variances(model: CovarianceModel,
     def g2(t):
         return model.d_r1(t) * model.d_r2(t) + model.d_r12(t) * model.d_r12(-t)
 
-    head, e1 = adaptive_quad(g2, 0.0, 1.0, q.abs_tol, q.rel_tol)
-    tail, e2 = integrate_to_infinity(g2, 1.0, q.abs_tol, q.rel_tol,
-                                     t_max=q.t_max or 25.0)
-    var_i2 = (head + tail) / (2.0 * math.pi ** 2)
-    out = {"var_I2_limit": var_i2, "var_I2_err": (e1 + e2) / (2 * math.pi ** 2)}
+    i2, e2 = _half_line(g2, 1.0, q, q.t_max or 25.0)
+    var_i2 = i2 / (2.0 * math.pi ** 2)
+    out = {"var_I2_limit": var_i2, "var_I2_err": e2 / (2 * math.pi ** 2)}
 
     # Plancherel twin: (1/4pi) int lam^2 f1 f2 + cross part when available
     if model.f1 is not None and model.f2 is not None:
         def s2(lam):
             return lam * lam * model.f1(lam) * model.f2(lam)
-        sp_head, _ = adaptive_quad(s2, 0.0, 5.0, q.abs_tol, q.rel_tol)
-        sp_tail, _ = integrate_to_infinity(s2, 5.0, q.abs_tol, q.rel_tol)
-        spectral = (sp_head + sp_tail) / (4.0 * math.pi)
+        spectral = _half_line(s2, 5.0, q)[0] / (4.0 * math.pi)
         rho1 = model.meta.get("rho1")
         if model.meta.get("construction") == "regression" and rho1 is not None:
             def s2c(lam):
                 return lam ** 4 * model.f2(lam) ** 2
-            c_head, _ = adaptive_quad(s2c, 0.0, 5.0, q.abs_tol, q.rel_tol)
-            c_tail, _ = integrate_to_infinity(s2c, 5.0, q.abs_tol, q.rel_tol)
-            spectral += rho1 ** 2 * (c_head + c_tail) / (4.0 * math.pi)
+            spectral += rho1 ** 2 * _half_line(s2c, 5.0, q)[0] / (4.0 * math.pi)
         out["var_I2_spectral"] = spectral
         out["var_I2_agreement"] = abs(spectral - var_i2)
 
@@ -414,11 +417,9 @@ def chaos_projection_variances(model: CovarianceModel,
         def g4(t):
             return (model.r1(t) ** 3 * -model.dd_r2(t)
                     + model.r2(t) ** 3 * -model.dd_r1(t))
-        h4, e4a = adaptive_quad(g4, 0.0, 1.0, q.abs_tol, q.rel_tol)
-        t4, e4b = integrate_to_infinity(g4, 1.0, q.abs_tol, q.rel_tol,
-                                        t_max=q.t_max or 25.0)
-        out["var_I4_limit"] = (h4 + t4) / (2.0 * math.pi)
-        out["var_I4_err"] = (e4a + e4b) / (2.0 * math.pi)
+        i4, e4 = _half_line(g4, 1.0, q, q.t_max or 25.0)
+        out["var_I4_limit"] = i4 / (2.0 * math.pi)
+        out["var_I4_err"] = e4 / (2.0 * math.pi)
         if model.f1 is not None and model.f2 is not None:
             out["var_I4_spectral"] = _var_i4_spectral(model)
             out["var_I4_agreement"] = abs(out["var_I4_spectral"] - out["var_I4_limit"])

@@ -41,16 +41,11 @@ __all__ = [
     "CholeskySampler",
     "SpectralSampler",
     "CirculantSampler",
-    "sample_cholesky",
-    "sample_spectral",
-    "sample_circulant",
     "smooth_path",
     "kernel_half_width",
     "bump_kernel",
     "export_path_csv",
     "load_path_csv",
-    "export_path_npz",
-    "load_path_npz",
     "model_spec_hash",
 ]
 
@@ -459,21 +454,6 @@ class CirculantSampler(_Sampler):
 
 
 # ----------------------------------------------------------------------
-# spec-surface wrappers
-# ----------------------------------------------------------------------
-def sample_cholesky(model, grid, seed, stream=0) -> SamplePath:
-    return CholeskySampler(model, grid).sample(seed, stream)
-
-
-def sample_spectral(model, grid, seed, stream=0, n_freq=4096) -> SamplePath:
-    return SpectralSampler(model, grid, n_freq=n_freq).sample(seed, stream)
-
-
-def sample_circulant(model, grid, seed, stream=0) -> SamplePath:
-    return CirculantSampler(model, grid).sample(seed, stream)
-
-
-# ----------------------------------------------------------------------
 # pathwise smoothing
 # ----------------------------------------------------------------------
 def bump_kernel(u):
@@ -543,30 +523,6 @@ def export_path_csv(path: SamplePath, fileobj) -> None:
     finally:
         if close:
             fileobj.close()
-
-
-def export_path_npz(path: SamplePath, file) -> None:
-    """Binary column format: npz with t/x1/x2[/dx2] arrays and a JSON
-    header string carrying the same metadata as the CSV export."""
-    hdr = {"seed": path.seed, "stream": path.stream, "backend": path.backend,
-           **path.meta}
-    arrays = {"t": path.times(), "x1": path.x1, "x2": path.x2,
-              "header": np.array(json.dumps(hdr, sort_keys=True, default=str))}
-    if path.dx2 is not None:
-        arrays["dx2"] = path.dx2
-    np.savez(file, **arrays)
-
-
-def load_path_npz(file) -> SamplePath:
-    with np.load(file, allow_pickle=False) as data:
-        t = data["t"]
-        meta = json.loads(str(data["header"]))
-        grid = GridSpec(T=float(t[-1] - t[0]), n=len(t))
-        return SamplePath(grid=grid, x1=data["x1"], x2=data["x2"],
-                          dx2=data["dx2"] if "dx2" in data else None,
-                          seed=int(meta.get("seed", 0)),
-                          stream=int(meta.get("stream", 0)),
-                          backend=meta.get("backend", "file"), meta=meta)
 
 
 def load_path_csv(fileobj) -> SamplePath:

@@ -355,6 +355,27 @@ class TestPathExport:
             assert np.array_equal(path.x1, ref.x1)
             assert np.array_equal(path.x2, ref.x2)
 
+    def test_paths_taken_by_a_file_exits_2_before_the_run(self, tmp_path,
+                                                          monkeypatch, capsys):
+        from windlab import cli, harness
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran although it cannot "
+                                 "export its paths")
+
+        monkeypatch.setattr(harness, "simulate_windings", no_run)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(small_cfg(export_paths=2).to_json())
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "paths").write_text("")
+        assert cli.main(["simulate", "--config", str(cfg_file),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "paths") in err
+        assert "Traceback" not in err
+        assert (out / "paths").read_text() == ""
+
 
 class TestCli:
     def test_exit_codes(self, tmp_path, monkeypatch):
@@ -429,6 +450,7 @@ class TestCli:
          "epsilon"),
         ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [0.4, 0.2],
                     "t_ladder": [5.0, 10.0]}, [], "t_ladder"),
+        ("clt", {"replications": 1}, [], "replications >= 2"),
     ])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys,
                                 command, fields, flags, message):

@@ -12,9 +12,7 @@ from windlab.errors import (CapabilityError, ModelError, ParameterError,
                             ResolutionError)
 from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
                              SamplePath, SpectralSampler, bump_kernel,
-                             export_path_csv, export_path_npz, load_path_csv,
-                             load_path_npz, sample_cholesky, sample_circulant,
-                             sample_spectral, smooth_path)
+                             export_path_csv, load_path_csv, smooth_path)
 
 
 class TestGridSpec:
@@ -33,12 +31,12 @@ class TestGridSpec:
 class TestReproducibility:
     def test_bitwise_identical(self, iid_bf, regression03):
         grid = GridSpec.from_dt(5.0, 0.02)
-        for maker in (sample_circulant, sample_cholesky,
-                      lambda m, g, s, stream=0: sample_spectral(m, g, s, stream, n_freq=512)):
-            a = maker(iid_bf, grid, 99, stream=3)
-            b = maker(iid_bf, grid, 99, stream=3)
+        for make in (CirculantSampler, CholeskySampler,
+                     lambda m, g: SpectralSampler(m, g, n_freq=512)):
+            a = make(iid_bf, grid).sample(99, stream=3)
+            b = make(iid_bf, grid).sample(99, stream=3)
             assert np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)
-            c = maker(iid_bf, grid, 99, stream=4)
+            c = make(iid_bf, grid).sample(99, stream=4)
             assert not np.array_equal(a.x2, c.x2)
 
     def test_batch_matches_single(self, regression03, monkeypatch):
@@ -146,7 +144,7 @@ class TestSpectral:
                 assert np.max(np.abs(got - want)) < 1e-12
 
     def test_derivative_consistency(self, iid_bf):
-        p = sample_spectral(iid_bf, GridSpec.from_dt(10.0, 0.01), 5, n_freq=4096)
+        p = SpectralSampler(iid_bf, GridSpec.from_dt(10.0, 0.01), n_freq=4096).sample(5)
         fd = np.diff(p.x2) / p.grid.dt
         mid = 0.5 * (p.dx2[:-1] + p.dx2[1:])
         rms = np.sqrt(np.mean((fd - mid) ** 2) / np.mean(mid ** 2))
@@ -342,7 +340,7 @@ class TestCirculant:
         assert float(np.max(np.abs(mean - want) / se)) < 4.5
 
     def test_meta_records_embedding(self, iid_bf):
-        p = sample_circulant(iid_bf, GridSpec(T=12.2, n=62), 1)
+        p = CirculantSampler(iid_bf, GridSpec(T=12.2, n=62)).sample(1)
         assert (p.meta["embedding_length"], p.meta["pad"]) == (125, 1)
         assert p.meta["clipped_mass"] <= 1e-12
         assert p.meta["kept_bins"] == list(CirculantSampler(
@@ -411,7 +409,7 @@ class TestOracleEquivalence:
 class TestStationarity:
     def test_time_average_matches_ensemble(self, iid_bf):
         grid = GridSpec.from_dt(2000.0, 0.05)
-        p = sample_circulant(iid_bf, grid, seed=2)
+        p = CirculantSampler(iid_bf, grid).sample(2)
         x = p.x2
         for lag_pts, lag in ((0, 0.0), (10, 0.5), (20, 1.0)):
             est = float(np.mean(x[lag_pts:] * x[:len(x) - lag_pts]))
@@ -425,7 +423,7 @@ class TestSmoothing:
         assert bump_kernel(1.0) == 0.0 and bump_kernel(-2.0) == 0.0
 
     def test_resolution_guard(self, iid_bf):
-        p = sample_circulant(iid_bf, GridSpec.from_dt(5.0, 0.05), 1)
+        p = CirculantSampler(iid_bf, GridSpec.from_dt(5.0, 0.05)).sample(1)
         with pytest.raises(ResolutionError):
             smooth_path(p, 0.05)
 
@@ -446,7 +444,7 @@ class TestSmoothing:
         assert np.array_equal(sm.x1, p.x1)
 
     def test_smooth_path_converges_on_smooth_input(self, iid_bf):
-        p = sample_circulant(iid_bf, GridSpec.from_dt(10.0, 0.01), 6)
+        p = CirculantSampler(iid_bf, GridSpec.from_dt(10.0, 0.01)).sample(6)
         errs = [float(np.max(np.abs(smooth_path(p, e).x2 - p.x2)))
                 for e in (0.4, 0.2, 0.1, 0.05)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -454,7 +452,7 @@ class TestSmoothing:
     def test_rough_path_second_differences_blow_up(self):
         from windlab.covmodel import make_alpha_process
         m = make_alpha_process(1.2)
-        p = sample_circulant(m, GridSpec.from_dt(20.0, 0.01), 9)
+        p = CirculantSampler(m, GridSpec.from_dt(20.0, 0.01)).sample(9)
         d2 = []
         for e in (0.4, 0.2, 0.1):
             x = smooth_path(p, e).x2
@@ -464,7 +462,7 @@ class TestSmoothing:
 
 class TestPathIO:
     def test_csv_roundtrip(self, iid_bf):
-        p = sample_spectral(iid_bf, GridSpec.from_dt(1.0, 0.05), 3, n_freq=512)
+        p = SpectralSampler(iid_bf, GridSpec.from_dt(1.0, 0.05), n_freq=512).sample(3)
         buf = io.StringIO()
         export_path_csv(p, buf)
         buf.seek(0)
@@ -473,11 +471,3 @@ class TestPathIO:
         assert np.allclose(q.x2, p.x2, atol=1e-15)
         assert np.allclose(q.dx2, p.dx2, atol=1e-15)
         assert q.backend == "spectral" and q.seed == 3
-
-    def test_npz_roundtrip(self, iid_bf, tmp_path):
-        p = sample_circulant(iid_bf, GridSpec.from_dt(1.0, 0.05), 3)
-        f = tmp_path / "path.npz"
-        export_path_npz(p, f)
-        q = load_path_npz(f)
-        assert np.array_equal(q.x1, p.x1) and np.array_equal(q.x2, p.x2)
-        assert q.meta["clipped_mass"] == p.meta["clipped_mass"]

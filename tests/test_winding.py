@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from windlab.errors import AliasingError, ParameterError, ResolutionError
-from windlab.pathgen import (CholeskySampler, GridSpec, SamplePath,
-                             SpectralSampler, export_path_csv, load_path_csv,
-                             sample_circulant, sample_spectral)
+from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
+                             SamplePath, SpectralSampler, export_path_csv,
+                             load_path_csv)
 from windlab.winding import (count_windings, count_windings_arrays,
                              count_windings_refined, smoothed_winding)
 
@@ -49,7 +49,7 @@ class TestInvariances:
     def _gaussian_path(self, seed):
         from windlab.covmodel import bargmann_fock, make_iid_model
         m = make_iid_model(bargmann_fock())
-        return sample_circulant(m, GridSpec.from_dt(30.0, 0.01), seed)
+        return CirculantSampler(m, GridSpec.from_dt(30.0, 0.01)).sample(seed)
 
     def test_sign_antisymmetry(self):
         from dataclasses import replace
@@ -138,8 +138,8 @@ class TestRefinedCounting:
 class TestSmoothedWinding:
     def _rough_path(self, seed=4, T=30.0):
         from windlab.covmodel import make_alpha_process
-        return sample_circulant(make_alpha_process(1.2),
-                                GridSpec.from_dt(T, 0.01), seed)
+        return CirculantSampler(make_alpha_process(1.2),
+                                GridSpec.from_dt(T, 0.01)).sample(seed)
 
     def test_ladder_validation(self):
         p = self._rough_path()
@@ -157,7 +157,7 @@ class TestSmoothedWinding:
 
     def test_smooth_model_paths_insensitive(self, iid_bf):
         # a differentiable path keeps its count under mild smoothing
-        p = sample_spectral(iid_bf, GridSpec.from_dt(20.0, 0.01), 11, n_freq=2048)
+        p = SpectralSampler(iid_bf, GridSpec.from_dt(20.0, 0.01), n_freq=2048).sample(11)
         base = count_windings(p).n_w
         res = smoothed_winding(p, [0.1, 0.05, 0.025])
         assert all(r.n_w == base for r in res.results)
@@ -173,7 +173,7 @@ class TestSmoothedWinding:
 
 class TestFileInput:
     def test_counting_from_exported_csv(self, iid_bf):
-        p = sample_circulant(iid_bf, GridSpec.from_dt(20.0, 0.01), 8)
+        p = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 0.01)).sample(8)
         direct = count_windings(p)
         buf = io.StringIO()
         export_path_csv(p, buf)
