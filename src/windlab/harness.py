@@ -21,7 +21,7 @@ import numpy as np
 import numpy.ma  # noqa: F401  (np.quantile imports it on first call)
 
 from .covmodel import CovarianceModel, ModelClass, classify, model_from_spec
-from .errors import (AliasingError, ConfigError, DomainError,
+from .errors import (AliasingError, ConfigError, DomainError, ParameterError,
                      SingularityError, WindlabError)
 from .gauss import (_PSD_TOL, QuadrantCorr, conditional_cov,
                     generic_regression, joint_cov_matrix,
@@ -408,22 +408,42 @@ def random_psd_quadrant(rng, max_rho34=0.9) -> QuadrantCorr:
                                 rho23=r[1, 2], rho24=r[1, 3], rho34=r[2, 3])
 
 
-def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int, chunk=1 << 17):
-    """Conditional MC estimate of E[X1 X2 1{X3>0} 1{X4>0}]; returns (mean, se).
+def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int, chunk=1 << 14):
+    """Angle-only conditional MC estimate of E[X1 X2 1{X3>0} 1{X4>0}];
+    returns (mean, se).
 
     With A, B, C the (12), (12)x(34) and (34) blocks of ``c.matrix()``,
-    L the Cholesky factor of C and W = L^-1 B^T, draw (X3, X4) = L z from
-    two standard normals z.  Gaussian conditioning gives
-    E[X1 X2 | X3, X4] = mu1 mu2 + S12 exactly, with mu = B C^-1 (X3, X4)
-    = W^T z and the Schur complement S = A - W^T W, so the estimator
-    averages 1{X3>0, X4>0} (mu1 mu2 + S12): the plain four-normal product
-    with X1 X2 integrated out, which cannot raise the variance.
+    L the Cholesky factor of C and W = L^-1 B^T, write (X3, X4) = L z with
+    z = r (cos phi, sin phi).  Gaussian conditioning gives
+    E[X1 X2 | X3, X4] = mu1 mu2 + S12 exactly, with mu = W^T z and the
+    Schur complement S = A - W^T W.  The radius is independent of phi with
+    E[r^2] = 2, and {X3 > 0, X4 > 0} is the arc lo < phi < pi/2 with
+    lo = atan2(-L21, L22), so
+    E = (1/2pi) int_lo^{pi/2} (2 q(phi) + S12) dphi,  q = (w1.u)(w2.u),
+    u = (cos phi, sin phi) and w_j the columns of W.  X1 X2 and the radius
+    are both integrated out exactly, which cannot raise the variance over
+    the plain four-normal product.
 
-    Normals are drawn ``chunk`` rows at a time (2 MiB at the default); the
+    The estimator averages this integrand over one uniform per sample and
+    needs no trig: phi = 2 atan(s) maps the arc to s_lo = tan(lo/2) < s < 1
+    with u = (1 - s^2, 2 s) / (1 + s^2), so each sample is
+    y = ((1 - s_lo)/pi) (2 q + S12) / (1 + s^2)
+      = ((1 - s_lo)/pi) N(s) / (1 + s^2)^3
+    with N = 2 p1 p2 + S12 (1 + s^2)^2 and p_j = W_1j (1 - s^2) + 2 W_2j s:
+    a quartic e0 (1 + s^4) + e1 (s - s^3) + e2 s^2, evaluated by Horner's
+    rule.  No sample falls outside the quadrant, and the loop calls no BLAS
+    routine, whose thread pool oversubscribes the cores on thin products.
+
+    Uniforms are drawn ``chunk`` at a time (128 KiB at the default); the
     draws do not depend on ``chunk``, only the order of the partial sums.
-    A singular C raises SingularityError; |rho34| > 1 or an S that is not
-    positive semidefinite raises DomainError.
+    n_samples < 2 or chunk < 1 raises ParameterError; a singular C raises
+    SingularityError; |rho34| > 1 or an S that is not positive semidefinite
+    raises DomainError.
     """
+    if n_samples < 2:
+        raise ParameterError(f"quadrant_mc needs n_samples >= 2, got {n_samples}")
+    if chunk < 1:
+        raise ParameterError(f"quadrant_mc needs chunk >= 1, got {chunk}")
     if abs(c.rho34) > 1.0:
         raise DomainError(f"correlation must lie in [-1, 1], got rho34 = {c.rho34}")
     r = c.matrix()
@@ -433,25 +453,29 @@ def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int, chunk=1 << 17):
         raise SingularityError(
             f"(X3, X4) block is singular (rho34 = {c.rho34})") from None
     w = np.linalg.solve(chol, r[2:, :2])
-    s = r[:2, :2] - w.T @ w
-    emin = float(np.linalg.eigvalsh(s).min())
+    schur = r[:2, :2] - w.T @ w
+    emin = float(np.linalg.eigvalsh(schur).min())
     if emin < _PSD_TOL:
         raise DomainError("conditional covariance of (X1, X2) given (X3, X4) is "
                           f"not positive semidefinite (min eig {emin:.2e})")
-    s12 = float(s[0, 1])
+    s12 = float(schur[0, 1])
+    s_lo = math.tan(0.5 * math.atan2(-chol[1, 0], chol[1, 1]))
+    width = 1.0 - s_lo
+    k = width / math.pi
+    (w11, w12), (w21, w22) = w  # W_ij of the docstring
+    e0 = k * (2.0 * w11 * w12 + s12)
+    e1 = k * 4.0 * (w11 * w22 + w21 * w12)
+    e2 = k * (2.0 * s12 - 4.0 * w11 * w12 + 8.0 * w21 * w22)
     rng = np.random.default_rng(seed)
     tot = tot2 = 0.0
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        z = rng.standard_normal((m, 2))
-        # X3 = L11 z1 with L11 > 0 and X4 = L21 z1 + L22 z2; the draws
-        # outside the quadrant add 0 to both sums
-        z = z[(z[:, 0] > 0.0) & (z @ chol[1] > 0.0)]
-        mu = z @ w
-        y = mu[:, 0] * mu[:, 1] + s12
+        s = s_lo + width * rng.random(m)
+        d = 1.0 + s * s
+        y = ((((e0 * s - e1) * s + e2) * s + e1) * s + e0) / (d * d * d)
         tot += float(y.sum())
-        tot2 += float(y @ y)
+        tot2 += float(np.einsum("i,i->", y, y))  # no BLAS, unlike a 1-d matmul
         done += m
     mean = tot / n_samples
     se = math.sqrt(max(tot2 / n_samples - mean ** 2, 0.0) / n_samples)

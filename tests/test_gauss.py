@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -194,11 +195,63 @@ class TestQuadrantMC:
             _, se = quadrant_mc(c, n, seed=50 + i)
             assert 0.0 < se <= plain_se
 
+    @pytest.mark.parametrize("c", [
+        # rho34 = +0.95: the arc is wide (s_lo = -0.72); rho34 = -0.95: narrow
+        # (s_lo = +0.72); both with a nonzero exchange product
+        QuadrantCorr(0.3, 0.3, 0.2, 0.2, 0.3, 0.95),
+        QuadrantCorr(0.3, 0.3, -0.2, 0.2, -0.25, -0.95)],
+        ids=["wide-arc", "narrow-arc"])
+    def test_arc_extremes(self, c):
+        assert c.rho13 * c.rho23 + c.rho14 * c.rho24 != 0.0
+        n = 1_000_000
+        mc, se = quadrant_mc(c, n, seed=70)
+        assert abs(mc - quadrant_expectation(c)) <= 4.0 * se
+        z = (np.random.default_rng(71).standard_normal((n, 4))
+             @ np.linalg.cholesky(c.matrix()).T)
+        y = z[:, 0] * z[:, 1] * (z[:, 2] > 0.0) * (z[:, 3] > 0.0)
+        assert 0.0 < se <= float(np.std(y) / math.sqrt(n))
+
     def test_independent_of_the_formulas_it_checks(self):
         names = set(quadrant_mc.__code__.co_names)
         assert not names & {"orthant_angle", "quadrant_closed",
                             "quadrant_expectation",
                             "quadrant_expectation_series"}
+
+    def test_loop_draws_one_uniform_per_sample_and_calls_no_blas(self, monkeypatch):
+        # a thin BLAS product in the loop runs on OpenBLAS's thread pool and
+        # oversubscribes the cores; the loop draws uniforms and nothing else
+        calls = []
+        real_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self._g = real_rng(seed)
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    calls.append((name, args))
+                    return getattr(self._g, name)(*args, **kwargs)
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        quadrant_mc(QuadrantCorr(0.3, 0.2, 0.1, 0.1, 0.2, 0.4), 10_000,
+                    seed=1, chunk=3000)
+        assert {name for name, _ in calls} == {"random"}
+        assert sum(args[0] for _, args in calls) == 10_000
+        loop = inspect.getsource(quadrant_mc).split("while done < n_samples:")[1]
+        assert "@" not in loop and "dot" not in loop and "normal" not in loop
+
+    @pytest.mark.parametrize("n_samples, chunk", [(0, 100), (1, 100), (100, 0)],
+                             ids=["no-samples", "one-sample", "zero-chunk"])
+    def test_bad_sample_count_or_chunk_raises_before_drawing(
+            self, monkeypatch, n_samples, chunk):
+        def no_draws(seed):
+            raise AssertionError("drew before checking its arguments")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ParameterError):
+            quadrant_mc(QuadrantCorr(0.3, 0.2, 0.1, 0.1, 0.2, 0.4), n_samples,
+                        seed=1, chunk=chunk)
 
     def test_degenerate_pair_identity(self):
         for i, (c, expect) in enumerate(DEGENERATE_PAIRS):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from windlab import harness
 from windlab.errors import ConfigError, HypothesisError
 from windlab.gauss import QuadrantCorr
 from windlab.harness import (ExperimentConfig, lattice_ks, report_to_csv,
@@ -243,18 +244,23 @@ class TestLemmaCheck:
         assert not rep["result"]["checks"]["closed_vs_series"]["pass"]
         assert not rep["result"]["checks"]["closed_vs_mc"]["pass"]
 
-    def test_zero_se_fails_unless_exact(self):
-        # two draws, both outside the quadrant: mc = 0 with se = 0, which
-        # must not read as agreement with a nonzero closed form
-        cfg = small_cfg(kind="lemma_check", seed=1, lemma_mc_samples=2,
+    def test_zero_se_fails_unless_exact(self, monkeypatch):
+        # X1 and X2 uncorrelated with each other and with (X3, X4): every
+        # sample is exactly 0, so mc = 0 with se = 0, which must not read
+        # as agreement with a nonzero closed form
+        monkeypatch.setattr(harness, "random_psd_quadrant",
+                            lambda rng: QuadrantCorr(0.0, 0.0, 0.0, 0.0, 0.0, 0.3))
+        cfg = small_cfg(kind="lemma_check", seed=1, lemma_mc_samples=1000,
                         lemma_spot_cases=1, lemma_random_sets=0)
-        mc = run_lemma_check(cfg)["result"]["checks"]["closed_vs_mc"]
+        wrong = run_lemma_check(cfg, closed_form_override=lambda c: 0.01)
+        mc = wrong["result"]["checks"]["closed_vs_mc"]
         row = mc["rows"][0]
-        assert row["mc_se"] == 0.0 and row["closed"] != row["mc"]
+        assert row["mc"] == 0.0 and row["mc_se"] == 0.0
         assert row["z"] == math.inf
-        assert not mc["pass"]
-        exact = run_lemma_check(cfg, closed_form_override=lambda c: 0.0)
-        assert exact["result"]["checks"]["closed_vs_mc"]["rows"][0]["z"] == 0.0
+        assert not mc["pass"] and not wrong["pass"]
+        exact = run_lemma_check(cfg)["result"]["checks"]["closed_vs_mc"]
+        assert exact["rows"][0]["closed"] == 0.0
+        assert exact["rows"][0]["z"] == 0.0 and exact["pass"]
 
     def test_series_gate_holds_on_a_far_tail_seed(self):
         # seed whose 500 random sets include one where the order-80 series
