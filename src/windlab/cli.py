@@ -28,6 +28,8 @@ from .moments import (chaos_projection_variances, expectation_rate,
                       variance_rate_general, variance_rate_independent)
 
 EXIT_OK, EXIT_STAT_FAIL, EXIT_CONFIG = 0, 1, 2
+# the commands whose report has a table (rows or per_t) for --format csv
+TABLE_COMMANDS = ("variance", "simulate", "clt", "smooth")
 
 
 def _common(sub):
@@ -121,6 +123,11 @@ def main(argv=None) -> int:
                 "check": ("lemma_check", run_lemma_check),
                 "smooth": ("smoothing", run_smoothing)}
     kind, runner = commands[args.command]
+    if args.format == "csv" and args.command not in TABLE_COMMANDS:
+        print(f"error: --format csv needs a report with a table; "
+              f"{args.command} has none (only {', '.join(TABLE_COMMANDS)} do)",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = _load_config(args, kind)
         if cfg.out_dir:
@@ -132,7 +139,7 @@ def main(argv=None) -> int:
 
     if cfg.out_dir:
         path = write_report(report, cfg.out_dir, name=args.command,
-                            fmt=args.format)
+                            fmt=args.format, workers=cfg.workers)
         print(f"report written to {path}")
         if args.command == "moments":
             rho1 = cfg.build_model().meta.get("rho1", 0.0)

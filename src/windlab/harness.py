@@ -632,11 +632,16 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------------
 # report plumbing
 # ----------------------------------------------------------------------
+# per-invocation config fields: write_report's sidecar records them, so
+# that the report's bytes depend on neither where nor how wide a run was
+_RUN_FIELDS = ("out_dir", "workers")
+
+
 def _report(kind, cfg, body, ok) -> dict:
     return {
         "schema": SCHEMA,
         "kind": kind,
-        "config": asdict(cfg),
+        "config": {k: v for k, v in asdict(cfg).items() if k not in _RUN_FIELDS},
         "result": body,
         "pass": bool(ok),
     }
@@ -688,16 +693,17 @@ def report_to_csv(report: dict) -> str:
 
 
 def write_report(report: dict, out_dir: str, name: str = "report",
-                 fmt: str = "json") -> str:
+                 fmt: str = "json", workers: Optional[int] = None) -> str:
     """Write report + metadata sidecar; returns the report path.  The
-    report file itself is byte-stable for a fixed config and seed; wall
-    time lives in meta.json."""
+    report file itself is byte-stable for a fixed config and seed; the
+    write time, out_dir and the run's worker count live in meta.json."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.{'json' if fmt == 'json' else 'csv'}")
     payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
     with open(path, "w") as fh:
         fh.write(payload)
-    meta = {"written_at_unix": time.time(), "format": fmt}
+    meta = {"written_at_unix": time.time(), "format": fmt,
+            "out_dir": os.fspath(out_dir), "workers": workers}
     with open(os.path.join(out_dir, f"{name}.meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
     return path

@@ -522,6 +522,46 @@ class TestCli:
         text = (tmp_path / "o2" / "variance.csv").read_text()
         assert text.startswith("T,")
 
+    @pytest.mark.parametrize("command, runner",
+                             [("moments", "_moments_report"),
+                              ("check", "run_lemma_check")])
+    def test_csv_without_a_table_exits_2_before_the_run(self, tmp_path, monkeypatch,
+                                                       capsys, command, runner):
+        from windlab import cli
+
+        def no_run(cfg):
+            raise AssertionError("the experiment ran although its report "
+                                 "has no table to write as CSV")
+
+        monkeypatch.setattr(cli, runner, no_run)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(small_cfg().to_json())
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg_file), "--out", str(out),
+                         "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert all(c in err for c in ("variance", "simulate", "clt", "smooth"))
+        assert not out.exists()
+
+    def test_report_bytes_do_not_depend_on_out_or_workers(self, tmp_path,
+                                                          monkeypatch):
+        from windlab import cli
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # allow --workers 2
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(small_cfg(model=TWO_ALPHA, epsilon_ladder=[0.4, 0.2],
+                                      t_ladder=[15.0], replications=40).to_json())
+        reports = []
+        for workers, out in (("1", tmp_path / "a"), ("2", tmp_path / "b")):
+            cli.main(["smooth", "--config", str(cfg_file), "--workers", workers,
+                      "--out", str(out)])
+            reports.append((out / "smooth.json").read_bytes())
+            meta = json.loads((out / "smooth.meta.json").read_text())
+            assert meta["out_dir"] == str(out) and meta["workers"] == int(workers)
+        assert reports[0] == reports[1]
+        config = json.loads(reports[0])["config"]
+        assert "out_dir" not in config and "workers" not in config
+
     def test_moments_subcommand(self, tmp_path, capsys):
         from windlab import cli
         cfg_file = tmp_path / "cfg.json"

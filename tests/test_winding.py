@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,3 +183,178 @@ class TestFileInput:
         again = count_windings(loaded)
         assert again.n_w == direct.n_w
         assert again.delta_arg == pytest.approx(direct.delta_arg, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the counter against a dense reference implementation
+# ----------------------------------------------------------------------
+def _dense_reference(x1, x2):
+    """Winding count by full-length array passes: crossings interpolated on
+    every step and masked by the sign flips, every angle increment wrapped
+    with floor.  Independent of ``src/``; only the result type and the
+    error classes are shared."""
+    from windlab.winding import WindingResult
+    x1 = np.asarray(x1, float)
+    x2 = np.asarray(x2, float)
+    if x1.shape != x2.shape or x1.ndim != 1 or x1.size < 2:
+        raise ParameterError("need two 1-d coordinate arrays with >= 2 points")
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        raise ParameterError("path coordinates must be finite")
+    tiny = 8.0 * np.finfo(float).eps * float(np.max(np.abs(x2)))
+    if tiny > 0.0:
+        x2 = np.where(np.abs(x2) <= tiny, 0.0, x2)
+    at_origin = (x1 == 0.0) & (x2 == 0.0)
+    if np.any(at_origin):
+        warnings.warn("grid point exactly at the origin; perturbing x1 by 1e-12",
+                      RuntimeWarning)
+        x1 = x1.copy()
+        x1[at_origin] = 1e-12
+    s = x2 >= 0.0
+    flip = s[:-1] != s[1:]
+    den = x2[:-1] - x2[1:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        theta = np.where(flip, x2[:-1] / np.where(den == 0.0, 1.0, den), 0.0)
+    x1c = x1[:-1] + theta * (x1[1:] - x1[:-1])
+    n_up = int(np.count_nonzero(flip & ~s[:-1] & (x1c > 0.0)))
+    n_down = int(np.count_nonzero(flip & s[:-1] & (x1c > 0.0)))
+    d = np.diff(np.arctan2(x2, x1))
+    d = d - 2.0 * math.pi * np.floor((d + math.pi) / (2.0 * math.pi))
+    d[d <= -math.pi] += 2.0 * math.pi
+    worst = float(np.max(np.abs(d)))
+    if worst > math.pi - 1e-9:
+        raise AliasingError(
+            f"angle step {worst:.6f} within guard of pi: grid too coarse "
+            "relative to the rotation speed")
+    delta_arg = float(np.sum(d))
+    n_w = n_up - n_down
+    return WindingResult(n_up=n_up, n_down=n_down, n_w=n_w, delta_arg=delta_arg,
+                         agreement=abs(delta_arg / (2.0 * math.pi) - n_w) < 1.0)
+
+
+def _outcome(fn, x1, x2):
+    """(result or (exception class, message), RuntimeWarning count), after
+    checking that fn left both inputs bit-for-bit as they were."""
+    before = [np.array(x, copy=True) for x in (x1, x2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(x1, x2)
+        except Exception as e:  # compared by class and message
+            out = (type(e), str(e))
+    for x, b in zip((x1, x2), before):
+        assert np.asarray(x).tobytes() == b.tobytes(), "input mutated"
+    return out, sum(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def _assert_same_as_reference(x1, x2):
+    got, got_warn = _outcome(count_windings_arrays, x1, x2)
+    ref, ref_warn = _outcome(_dense_reference, x1, x2)
+    assert got_warn == ref_warn
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert not isinstance(got, tuple), got
+    for f in ("n_up", "n_down", "n_w", "agreement", "refinement_stable"):
+        assert getattr(got, f) == getattr(ref, f), f
+    assert (got.delta_arg == ref.delta_arg
+            or (math.isnan(got.delta_arg) and math.isnan(ref.delta_arg)))
+    assert math.copysign(1.0, got.delta_arg) == math.copysign(1.0, ref.delta_arg)
+
+
+def _sampled_paths():
+    from windlab.covmodel import (bargmann_fock, make_alpha_process,
+                                  make_iid_model, make_regression_model)
+    from windlab.pathgen import smooth_path
+    iid = CirculantSampler(make_iid_model(bargmann_fock()),
+                           GridSpec.from_dt(200.0, 0.01))
+    reg = CirculantSampler(make_regression_model(bargmann_fock(), bargmann_fock(), 0.3),
+                           GridSpec.from_dt(100.0, 0.01))
+    alpha = CirculantSampler(make_alpha_process(1.2), GridSpec.from_dt(50.0, 0.01))
+    paths = [iid.sample(31, k) for k in range(6)] + [reg.sample(32, k) for k in range(6)]
+    for k in range(2):
+        p = alpha.sample(33, k)
+        paths += [smooth_path(p, e) for e in (0.4, 0.2, 0.1, 0.05)]
+    return paths
+
+
+def _edge_cases():
+    eps = np.finfo(float).eps
+    one = np.ones(6)
+    circle = np.linspace(0.0, 2.0 * math.pi, 9)
+    cases = [
+        (one, np.array([0.5, 0.0, -0.5, 0.0, 0.5, -0.5])),      # exact zeros
+        (one, np.array([0.5, -0.0, -0.5, -0.0, 0.5, -0.5])),    # -0.0 entries
+        (-one, np.array([0.5, -0.0, -0.5, -0.0, 0.5, -0.5])),
+        (one, np.zeros(6)),                                      # all-zero x2
+        (np.ones(2), np.array([0.0, -0.0])),                    # delta_arg -0.0
+        (-one, -np.zeros(6)),
+        (np.array([1.0, -1.0, 1.0]), np.zeros(3)),
+        (np.zeros(4), np.zeros(4)),                              # all at the origin
+        (np.array([1.0, 0.0, 1.0, 1.0]), np.array([0.5, 0.0, -0.5, 0.5])),
+        (np.array([1.0, -0.0, -1.0, 0.0]), np.array([0.5, -0.0, -0.5, 0.0])),
+        (np.cos(circle), np.sin(circle)),                        # zeros up to rounding
+        (one, np.array([1.0, 8 * eps, -8 * eps, 9 * eps, -9 * eps, -1.0])),
+        (one, np.array([1.0, 4 * eps, -4 * eps, -1.0, 7.9 * eps, 1.0])),
+        (np.array([-1.0, -1.0]), np.array([4 * eps, -4 * eps])),
+        (np.array([-1.0, -1.0]), np.array([1e-300, -1e-300])),
+        (np.array([1.0, 1.0]), np.array([5e-324, -5e-324])),    # tiny underflows to 0
+        (np.array([-1.0, -1.0]), np.array([5e-324, -0.0])),
+        (np.array([1.0, 2.0]), np.array([1.0, -1.0])),          # two points
+        (np.array([-1.0, -2.0]), np.array([-1.0, 1.0])),
+        (np.array([1e308, -1e308]), np.array([1e308, -1e308])),
+        (np.array([1.0, 1.0]), np.array([1.0, 1.0])),
+        (np.array([1.0]), np.array([1.0])),                     # too short
+        (np.ones(3), np.ones(4)),
+        (np.ones((2, 2)), np.ones((2, 2))),
+        ([1.0, 1.0, 1.0], [1, 0, -1]),                          # lists, ints
+        (np.array([1.0, 0.5, -1.0], np.float32), np.array([0.3, -0.2, 0.1], np.float32)),
+        (np.linspace(1.0, -1.0, 12)[::2], np.linspace(0.5, -0.5, 12)[::2]),
+    ]
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.array([1.0, bad, 1.0])
+        cases += [(v, np.array([0.5, -0.5, 0.5])), (np.ones(3), v)]
+    # single steps on and just across the pi - 1e-9 guard, both senses,
+    # from either side of the branch cut
+    for theta in (math.pi - 1e-9 - 1e-12, math.pi - 1e-9, math.pi - 1e-9 + 1e-12,
+                  math.pi - 1e-9 + 2e-15, math.pi - 1e-9 - 2e-15, math.pi):
+        for sign in (1.0, -1.0):
+            for start in (0.0, 0.3, math.pi / 2, math.pi, -math.pi / 2):
+                ang = np.array([start, start + sign * theta, start])
+                cases.append((np.cos(ang), np.sin(ang)))
+    rng = np.random.default_rng(2718)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2 * eps, -2 * eps, 1e-12, -1e-12, 3.0])
+    for _ in range(240):
+        n = int(rng.integers(2, 40))
+        x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
+        for x in (x1, x2):
+            m = rng.random(n) < rng.random()
+            x[m] = rng.choice(pool, size=int(m.sum()))
+        cases.append((x1, x2))
+    return cases
+
+
+class TestDenseReference:
+    def test_sampled_paths(self):
+        for p in _sampled_paths():
+            _assert_same_as_reference(p.x1, p.x2)
+
+    def test_edge_cases(self):
+        for x1, x2 in _edge_cases():
+            _assert_same_as_reference(x1, x2)
+
+    def test_overflow_warns_only_on_interpolated_steps(self):
+        # an x1 step past the float range where x2 keeps its sign: the
+        # reference overflows computing it (two RuntimeWarnings), the counter
+        # never computes it; the results are the same
+        x1, x2 = np.array([1e308, -1e308]), np.array([1e308, 1e308])
+        got, warns = _outcome(count_windings_arrays, x1, x2)
+        ref, ref_warns = _outcome(_dense_reference, x1, x2)
+        assert got == ref and (warns, ref_warns) == (0, 2)
+
+    def test_corpus_reaches_every_branch(self):
+        outcomes = [_outcome(count_windings_arrays, x1, x2)
+                    for x1, x2 in _edge_cases()]
+        errors = {o[0] for o, _ in outcomes if isinstance(o, tuple)}
+        assert errors == {ParameterError, AliasingError}
+        assert any(w for _, w in outcomes)
+        assert any(not isinstance(o, tuple) and o.n_w != 0 for o, _ in outcomes)
