@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -105,9 +106,15 @@ class ExperimentConfig:
                 f"backend must be one of {self.BACKENDS}, got {self.backend!r}")
         if not isinstance(self.t_ladder, list) or not self.t_ladder:
             raise ConfigError("t_ladder must be a non-empty list")
-        for v in [self.dt, *self.t_ladder]:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"dt and t_ladder entries must be numbers, got {v!r}")
+        eps = self.epsilon_ladder
+        if eps is not None and (not isinstance(eps, list) or not eps):
+            raise ConfigError(f"epsilon_ladder must be a non-empty list or null, got {eps!r}")
+        # NaN, +-inf and ints beyond the float range fail the comparison
+        for v in [self.dt, *self.t_ladder, *(eps or [])]:
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not abs(v) <= sys.float_info.max):
+                raise ConfigError("dt, t_ladder and epsilon_ladder entries must "
+                                  f"be finite numbers, got {v!r}")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if min(self.t_ladder) <= 0:
@@ -120,16 +127,10 @@ class ExperimentConfig:
         if self.kind == "smoothing" and len(self.t_ladder) > 1:
             raise ConfigError("a smoothing run has one horizon: t_ladder must "
                               f"hold a single T, got {self.t_ladder}")
-        eps = self.epsilon_ladder
-        if eps is not None:
-            if (not isinstance(eps, list) or not eps
-                    or any(isinstance(e, bool) or not isinstance(e, (int, float))
-                           for e in eps)):
-                raise ConfigError(
-                    f"epsilon_ladder must be a non-empty list of numbers, got {eps!r}")
-            if min(eps) <= 0 or any(b >= a for a, b in zip(eps, eps[1:])):
-                raise ConfigError("epsilon_ladder must be positive and strictly "
-                                  f"decreasing, got {eps}")
+        if eps is not None and (min(eps) <= 0
+                                or any(b >= a for a, b in zip(eps, eps[1:]))):
+            raise ConfigError("epsilon_ladder must be positive and strictly "
+                              f"decreasing, got {eps}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -358,7 +359,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
     else:
         try:
             v_inf = variance_rate_general(model, max(cfg.t_ladder)).v_inf
-            standardized_by = "general-case extrapolated V_inf"
+            standardized_by = "general-case integral V_inf"
         except WindlabError:
             v_inf = None
     per_t = []
@@ -684,7 +685,8 @@ def report_to_csv(report: dict) -> str:
     """CSV mirror of the tabular section of a report."""
     rows = _rows_of(report)
     if not rows:
-        return ""
+        raise ParameterError(
+            f"a {report.get('kind')} report has no table to write as CSV")
     cols = [c for c in rows[0] if c != "standardized_sample"]
     out = [",".join(cols)]
     for r in rows:
@@ -697,9 +699,9 @@ def write_report(report: dict, out_dir: str, name: str = "report",
     """Write report + metadata sidecar; returns the report path.  The
     report file itself is byte-stable for a fixed config and seed; the
     write time, out_dir and the run's worker count live in meta.json."""
+    payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.{'json' if fmt == 'json' else 'csv'}")
-    payload = report_to_json(report) if fmt == "json" else report_to_csv(report)
     with open(path, "w") as fh:
         fh.write(payload)
     meta = {"written_at_unix": time.time(), "format": fmt,

@@ -11,8 +11,9 @@ term (the unsigned crossing count contributes E[#zeros with X1 > 0]/T
             [2 pi E_c(t)/sqrt(1 - r2^2) - r12'(0)^2] dt,
 
 with E_c the conditional quadrant expectation evaluated through the
-standardized closed form.  For independent coordinates the integrand
-collapses to (-f')(t) P(r1(t)) and integration by parts yields the limit
+standardized closed form; V_inf, the T -> inf limit, has the weight 2
+over [0, inf).  For independent coordinates the integrand collapses to
+(-f')(t) P(r1(t)) and integration by parts yields the limit
 
   V_inf = I / (2 pi^2),    I = int_0^inf r1' r2' /
                                sqrt((1 - r1^2)(1 - r2^2)) dt,
@@ -87,7 +88,6 @@ class MomentReport:
     v_inf_err: Optional[float]
     method: str
     horizon: Optional[float] = None
-    chaos: Optional[dict] = None
     extras: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -99,7 +99,6 @@ class MomentReport:
             "err": {"V_T": self.v_t_err, "V_inf": self.v_inf_err},
             "method": self.method,
             "horizon": self.horizon,
-            "chaos": self.chaos,
             "extras": self.extras,
             "notes": self.notes,
         }
@@ -144,10 +143,8 @@ def _singularity_power(model) -> int:
     a1 = model.meta.get("x1", {}).get("alpha", 2.0)
     a2 = model.meta.get("x2", {}).get("alpha", 2.0)
     a = 0.5 * (a1 + a2) - 2.0
-    if a >= 0.0:
-        return 1
-    if a <= -1.0:
-        return 1  # divergent anyway; the Cauchy check below reports it
+    if a >= 0.0 or a <= -1.0:
+        return 1  # no singularity, or a divergent one the Cauchy check reports
     return int(math.ceil(1.0 / (1.0 + a))) + 1
 
 
@@ -178,8 +175,8 @@ def _coupling_integral(model, q: QuadratureSpec):
             lambda u: g(u ** p) * p * u ** (p - 1), 0.0, 1.0,
             q.abs_tol * 1e-2, q.rel_tol * 1e-2)
     head_ts, _ = tanh_sinh(g, 0.0, 1.0, tol=1e-12)
-    t_max = q.t_max if q.t_max is not None else 25.0
-    tail, e_tail = integrate_to_infinity(g, 1.0, q.abs_tol, q.rel_tol, t_max=t_max)
+    tail, e_tail = integrate_to_infinity(g, 1.0, q.abs_tol, q.rel_tol,
+                                         t_max=q.t_max or 25.0)
     disagreement = abs(head_gk - head_ts)
     value = head_gk + tail
     return value, e_gk + e_tail, disagreement
@@ -218,7 +215,7 @@ def variance_rate_independent(model: CovarianceModel,
                      "smoothing-limit bound, not a proven limit")
     i_val, i_err, i_disagree = _coupling_integral(model, q)
     v_inf = i_val / (2.0 * math.pi ** 2)
-    report = MomentReport(
+    return MomentReport(
         expectation_rate=0.0,
         v_t=None, v_t_err=None,
         v_inf=v_inf, v_inf_err=(i_err + i_disagree) / (2.0 * math.pi ** 2),
@@ -230,7 +227,6 @@ def variance_rate_independent(model: CovarianceModel,
         },
         notes=notes,
     )
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -252,11 +248,11 @@ def _ec_bracket(model, rho1_sq):
 
 def variance_rate_general(model: CovarianceModel, T: float,
                           q: QuadratureSpec = QuadratureSpec()) -> MomentReport:
-    """Finite-horizon variance rate by the conditional-quadrant integrand.
+    """Variance rates by the conditional-quadrant integrand.
 
-    V_inf is reported by Richardson extrapolation in the horizon
-    (V_T = V_inf + c/T + o(1/T)), with the difference of the two horizons
-    as its error estimate.  No closed-form limit exists in general.
+    V_T integrates the bracket with the weight 2 (1 - t/T) over [0, T];
+    V_inf is the T -> inf limit of the same expression, the improper
+    integral of 2 bracket(t) over [0, inf).
     """
     if not model.x2_differentiable:
         raise CapabilityError("variance_rate_general needs a differentiable X2")
@@ -275,21 +271,22 @@ def variance_rate_general(model: CovarianceModel, T: float,
         b0 = (8.0 * b1) / 3.0 - 2.0 * b2 + b3 / 3.0
         head = 0.5 * (2.0 * b0 + 2.0 * (1.0 - _T_CUT / horizon) * b1) * _T_CUT
         head_err = abs(b0 - b1) * _T_CUT
-        body, body_err = adaptive_quad(weighted, _T_CUT, horizon,
-                                       q.abs_tol, q.rel_tol)
+        if math.isinf(horizon):
+            body, body_err = integrate_to_infinity(
+                weighted, _T_CUT, q.abs_tol, q.rel_tol, t_max=q.t_max or 25.0)
+        else:
+            body, body_err = adaptive_quad(weighted, _T_CUT, horizon,
+                                           q.abs_tol, q.rel_tol)
         val = 1.0 / TWO_PI + (head + body) / TWO_PI ** 2
         return val, (head_err + body_err) / TWO_PI ** 2
 
     v_t, v_t_err = v_at(T)
-    v_half, v_half_err = v_at(T / 2.0)
-    v_inf = 2.0 * v_t - v_half
-    v_inf_err = abs(v_t - v_half) + v_t_err + v_half_err
+    v_inf, v_inf_err = v_at(math.inf)
     return MomentReport(
         expectation_rate=expectation_rate(model),
         v_t=v_t, v_t_err=v_t_err,
         v_inf=v_inf, v_inf_err=v_inf_err,
         method="general_integrand", horizon=T,
-        extras={"v_at_half_horizon": v_half},
     )
 
 

@@ -75,6 +75,14 @@ class TestDeterminism:
         meta = json.load(open(tmp_path / "a" / "report.meta.json"))
         assert "written_at_unix" in meta  # timestamps live outside the report
 
+    @pytest.mark.parametrize("kind", ["moments", "lemma_check"])
+    def test_csv_of_a_report_without_a_table_writes_nothing(self, tmp_path, kind):
+        from windlab.errors import ParameterError
+        rep = harness._report(kind, small_cfg(), {"cases": {}}, True)
+        with pytest.raises(ParameterError, match="no table"):
+            write_report(rep, tmp_path, name=kind, fmt="csv")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSamplerDiagnostics:
     def test_rows_record_circulant_embedding(self):
@@ -457,6 +465,17 @@ class TestCli:
         ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [0.4, 0.2],
                     "t_ladder": [5.0, 10.0]}, [], "t_ladder"),
         ("clt", {"replications": 1}, [], "replications >= 2"),
+        # non-finite numbers (JSON NaN and Infinity) on every command
+        ("simulate", {"dt": math.nan}, [], "finite"),
+        ("simulate", {"t_ladder": [math.inf]}, [], "finite"),
+        ("moments", {"t_ladder": [10 ** 400]}, [], "finite"),
+        ("variance", {"t_ladder": [5.0, math.nan]}, [], "finite"),
+        ("clt", {"dt": -math.inf}, [], "finite"),
+        ("check", {"t_ladder": [math.inf]}, [], "finite"),
+        ("moments", {"t_ladder": [math.inf]}, [], "finite"),
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [math.nan]}, [], "finite"),
+        ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [0.4, math.inf]}, [],
+         "finite"),
     ])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys,
                                 command, fields, flags, message):

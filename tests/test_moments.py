@@ -108,13 +108,27 @@ class TestVarianceGeneral:
         assert rep.v_t == pytest.approx(V_T200_IID_BF, abs=1e-7)
         assert rep.v_t_err < 1e-6
         assert rep.method == "general_integrand"
-        # horizon extrapolation reproduces the closed-form limit
+        # the improper integral reproduces the closed-form limit
         assert rep.v_inf == pytest.approx(V_INF_IID_BF, abs=1e-6)
 
     def test_cross_method_agreement(self, iid_bf, ou_bf):
         for model, v_ref in ((iid_bf, V_INF_IID_BF), (ou_bf, V_INF_OU_BF)):
             rep = variance_rate_general(model, 200.0)
             assert abs(rep.v_t - v_ref) < 1e-6 + 5.0 / 200.0
+
+    def test_limit_matches_independent_closed_form(self, iid_bf, ou_bf):
+        # V_inf as the integral over [0, inf) against I/(2 pi^2), each
+        # within its own reported error
+        for model in (iid_bf, ou_bf):
+            gen = variance_rate_general(model, 50.0)
+            ind = variance_rate_independent(model)
+            assert gen.v_inf_err < 1e-6
+            assert abs(gen.v_inf - ind.v_inf) <= gen.v_inf_err + ind.v_inf_err
+
+    def test_limit_does_not_depend_on_horizon(self, iid_bf, regression03):
+        for model in (iid_bf, regression03):
+            assert (variance_rate_general(model, 25.0).v_inf
+                    == variance_rate_general(model, 200.0).v_inf)
 
     def test_monotone_horizon_convergence(self, iid_bf):
         vals = [variance_rate_general(iid_bf, T).v_t for T in (25, 50, 100, 200)]
@@ -326,6 +340,6 @@ def test_quadrature_spec_validation():
 def test_report_serialization(iid_bf):
     rep = variance_rate_independent(iid_bf)
     d = rep.to_dict()
-    assert set(d) >= {"expectation_rate", "V_T", "V_inf", "err", "method", "chaos"}
+    assert set(d) >= {"expectation_rate", "V_T", "V_inf", "err", "method"}
     import json
     json.dumps(d)  # JSON-clean
