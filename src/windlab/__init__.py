@@ -2,8 +2,9 @@
 
 Covariance models, exact Gaussian algebra (quadrant expectations, Hermite
 coefficient tables, conditional covariances), closed-form and quadrature
-moment formulas, FFT/spectral/Cholesky path samplers, crossing-based
-winding counters, and a Monte Carlo harness that confronts the two.
+moment formulas, circulant-embedding and Cholesky path samplers,
+crossing-based winding counters, and a Monte Carlo harness that confronts
+the two.
 """
 
 from .covmodel import (CovarianceModel, CovFamily, ModelClass, alpha_family,
@@ -28,8 +29,7 @@ from .moments import (MomentReport, QuadratureSpec, chaos_projection_variances,
                       variance_rate_general, variance_rate_independent,
                       variance_WT_route)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec, SamplePath,
-                      SpectralSampler, export_path_csv, load_path_csv,
-                      smooth_path)
+                      export_path_csv, load_path_csv, smooth_path)
 from .winding import (SmoothedWinding, WindingResult, count_windings,
                       count_windings_arrays, count_windings_refined,
                       smoothed_winding)

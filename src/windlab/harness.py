@@ -5,6 +5,9 @@ All randomness is derived from the experiment seed through counter-based
 streams indexed by replication, so results are independent of worker
 count and execution order; reports serialize byte-identically for a fixed
 config (timestamps live in a separate metadata sidecar).
+
+Paths come from the circulant-embedding sampler; ``backend = "cholesky"``
+selects the exact small-n oracle instead.
 """
 from __future__ import annotations
 
@@ -30,8 +33,7 @@ from .gauss import (_PSD_TOL, QuadrantCorr, conditional_cov,
 from .moments import (expectation_rate, variance_bound_two_alpha,
                       variance_rate_general, variance_rate_independent)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec,
-                      SamplePath, SpectralSampler, export_path_csv,
-                      kernel_half_width)
+                      SamplePath, export_path_csv, kernel_half_width)
 from .winding import count_windings_arrays, smoothed_winding
 
 __all__ = [
@@ -68,7 +70,6 @@ class ExperimentConfig:
     replications: int = 1000
     seed: int = 1
     workers: int = 1
-    n_freq: int = 4096
     epsilon_ladder: Optional[list] = None
     correlations_file: Optional[str] = None
     lemma_mc_samples: int = 10_000_000
@@ -78,9 +79,9 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     KINDS = ("expectation", "variance", "clt", "lemma_check", "smoothing")
-    BACKENDS = ("circulant", "spectral", "cholesky")
+    BACKENDS = ("circulant", "cholesky")
     # the integer fields and their least values
-    INT_FIELDS = {"replications": 1, "seed": 0, "workers": 1, "n_freq": 256,
+    INT_FIELDS = {"replications": 1, "seed": 0, "workers": 1,
                   "lemma_mc_samples": 2, "lemma_random_sets": 0,
                   "lemma_spot_cases": 0, "export_paths": 0}
 
@@ -165,11 +166,9 @@ class ExperimentConfig:
 # ----------------------------------------------------------------------
 # simulation engine
 # ----------------------------------------------------------------------
-def _make_sampler(model, grid, backend, n_freq):
+def _make_sampler(model, grid, backend):
     if backend == "circulant":
         return CirculantSampler(model, grid)
-    if backend == "spectral":
-        return SpectralSampler(model, grid, n_freq=n_freq)
     if backend == "cholesky":
         return CholeskySampler(model, grid)
     raise ConfigError(f"unknown backend '{backend}'")
@@ -200,13 +199,13 @@ def _map_paths(sampler, seed, reps, workers, fn):
     return [r for part in parts for r in part]
 
 
-def simulate_windings(model, T, dt, backend, seed, reps, workers=1, n_freq=4096):
+def simulate_windings(model, T, dt, backend, seed, reps, workers=1):
     """Winding counts for ``reps`` replications.
 
     Returns a dict with the per-replication signed counts (NaN where the
     aliasing guard rejected the path), agreement flags, and bookkeeping.
     """
-    sampler = _make_sampler(model, GridSpec.from_dt(T, dt), backend, n_freq)
+    sampler = _make_sampler(model, GridSpec.from_dt(T, dt), backend)
     res = _map_paths(sampler, seed, reps, workers, count_windings_arrays)
     n_w = np.array([np.nan if r is None else r.n_w for r in res], dtype=float)
     agree = np.array([r is not None and r.agreement for r in res], dtype=bool)
@@ -265,7 +264,7 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
     rows = []
     for T in cfg.t_ladder:
         sim = simulate_windings(model, T, cfg.dt, cfg.backend, cfg.seed,
-                                cfg.replications, cfg.workers, cfg.n_freq)
+                                cfg.replications, cfg.workers)
         vals = sim["n_w"][sim["accepted"]]
         mean, se = _mean_se(vals)
         theory = T * rate
@@ -302,17 +301,19 @@ def run_variance(cfg: ExperimentConfig) -> dict:
         rep = variance_rate_independent(model)
         indep_extras = {"v_inf": rep.v_inf, "v_inf_err": rep.v_inf_err,
                         **rep.extras}
+    # the theory of every horizon before the first path, so that a model
+    # it cannot handle exits before the simulation
+    general = [variance_rate_general(model, T) for T in cfg.t_ladder]
     rows = []
-    for T in cfg.t_ladder:
+    for T, gen in zip(cfg.t_ladder, general):
         sim = simulate_windings(model, T, cfg.dt, cfg.backend, cfg.seed,
-                                cfg.replications, cfg.workers, cfg.n_freq)
+                                cfg.replications, cfg.workers)
         vals = sim["n_w"][sim["accepted"]]
         var_rate = float(np.var(vals, ddof=1)) / T if len(vals) > 1 else None
         lo, hi = (None, None)
         if var_rate is not None:
             lo, hi = _bootstrap_var_ci(vals, seed=cfg.seed + int(T * 1e3))
             lo, hi = lo / T, hi / T
-        gen = variance_rate_general(model, T)
         ref = gen.v_t
         row = {
             "T": T, "replications": cfg.replications,
@@ -352,8 +353,11 @@ def run_clt(cfg: ExperimentConfig) -> dict:
     standardized_by = "sample variance (V_inf unavailable)"
     if independent:
         try:
-            v_inf = variance_rate_independent(model).v_inf
-            standardized_by = "independent-case quadrature V_inf"
+            rep = variance_rate_independent(model)
+            v_inf = rep.v_inf
+            # two rough coordinates: the note names the bound mode
+            standardized_by = "; ".join(["independent-case quadrature V_inf",
+                                         *rep.notes])
         except WindlabError:
             v_inf = None
     else:
@@ -365,7 +369,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
     per_t = []
     for T in cfg.t_ladder:
         sim = simulate_windings(model, T, cfg.dt, cfg.backend, cfg.seed,
-                                cfg.replications, cfg.workers, cfg.n_freq)
+                                cfg.replications, cfg.workers)
         vals = sim["n_w"][sim["accepted"]]
         std_sample = (vals - T * rate) / math.sqrt(T)
         scale = math.sqrt(v_inf) if v_inf else float(np.std(std_sample, ddof=1))
@@ -599,7 +603,7 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     for e in eps:  # an unresolvable ladder exits before the costly bound
         kernel_half_width(grid, e)
     bound = variance_bound_two_alpha(model, eps)  # raises HypothesisError early
-    sampler = _make_sampler(model, grid, cfg.backend, cfg.n_freq)
+    sampler = _make_sampler(model, grid, cfg.backend)
     res = _map_paths(sampler, cfg.seed, cfg.replications, cfg.workers,
                      lambda x1, x2: smoothed_winding(SamplePath(grid, x1, x2), eps))
     n_w = np.array([[np.nan] * len(eps) if r is None else [x.n_w for x in r.results]
@@ -666,7 +670,7 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=True)
 
 
-def _rows_of(report):
+def _table_of(report):
     body = report.get("result", {})
     for key in ("rows", "per_t"):
         if key in body:
@@ -683,7 +687,7 @@ def _csv_field(value) -> str:
 
 def report_to_csv(report: dict) -> str:
     """CSV mirror of the tabular section of a report."""
-    rows = _rows_of(report)
+    rows = _table_of(report)
     if not rows:
         raise ParameterError(
             f"a {report.get('kind')} report has no table to write as CSV")

@@ -1,14 +1,12 @@
 """Sample-path generation for the planar process (X1, X2) on uniform grids.
 
-Three backends:
+Two backends:
 
-* Cholesky: exact joint factorization, O(n^3), the small-scale oracle.
-* Spectral: synthesis from the one-sided spectral densities; the only
-  backend that returns derivative samples X2' consistent with X2 (same
-  frequency noise), and the one that realizes the regression construction
-  X1 = rho1 X2' + rho2 Z literally.
 * Circulant: FFT embedding of the (block) covariance, O(n log n); exact
   up to clipping of negative embedding eigenvalues, which is recorded.
+  The production sampler.
+* Cholesky: exact joint factorization, O(n^3), the small-scale oracle
+  the tests compare against.
 
 Randomness is counter-based (Philox) keyed by (seed, stream): replication
 ``stream`` of a Monte Carlo run is reproducible independently of execution
@@ -22,7 +20,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 # numpy imports these subpackages on first use; they load with the module
@@ -31,15 +28,12 @@ import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .covmodel import CovarianceModel, ModelClass, classify
-from .errors import (CapabilityError, ModelError, ParameterError,
-                     ResolutionError, SamplerError)
-from .quadrature import adaptive_quad
+from .errors import ModelError, ParameterError, ResolutionError, SamplerError
 
 __all__ = [
     "GridSpec",
     "SamplePath",
     "CholeskySampler",
-    "SpectralSampler",
     "CirculantSampler",
     "smooth_path",
     "kernel_half_width",
@@ -87,7 +81,6 @@ class SamplePath:
     grid: GridSpec
     x1: np.ndarray
     x2: np.ndarray
-    dx2: Optional[np.ndarray] = None
     seed: int = 0
     stream: int = 0
     backend: str = "?"
@@ -128,7 +121,7 @@ def model_spec_hash(model: CovarianceModel) -> str:
 # sampler protocol
 # ----------------------------------------------------------------------
 class _Sampler:
-    """Batch-first protocol shared by the three backends.
+    """Batch-first protocol shared by the two backends.
 
     ``sample_batch(seed, streams)`` returns the (len(streams), 2, n) array
     of (x1, x2) paths; stream s draws from its own Philox key, so a path
@@ -139,12 +132,9 @@ class _Sampler:
 
     backend = "?"
 
-    def _on_grid(self, grid: GridSpec) -> "_Sampler":
-        return type(self)(self.model, grid)
-
     @cached_property
     def _fine(self) -> "_Sampler":
-        return self._on_grid(GridSpec(T=self.grid.T, n=2 * self.grid.n - 1))
+        return type(self)(self.model, GridSpec(T=self.grid.T, n=2 * self.grid.n - 1))
 
     def sample_refined(self, seed: int, stream: int = 0):
         """(coarse, fine): the path on the dyadic refinement of the grid
@@ -152,21 +142,14 @@ class _Sampler:
         nested pair shares its randomness exactly."""
         fine = self._fine.sample(seed, stream)
         return replace(fine, grid=self.grid, x1=fine.x1[::2], x2=fine.x2[::2],
-                       dx2=None if fine.dx2 is None else fine.dx2[::2],
                        meta={**fine.meta, "restricted": True}), fine
 
     def sample(self, seed: int, stream: int = 0) -> SamplePath:
-        x = self._rows(seed, [stream])[0]
-        return SamplePath(grid=self.grid, x1=x[0], x2=x[1],
-                          dx2=x[2] if len(x) > 2 else None, seed=seed,
+        x1, x2 = self.sample_batch(seed, [stream])[0]
+        return SamplePath(grid=self.grid, x1=x1, x2=x2, seed=seed,
                           stream=stream, backend=self.backend,
                           meta={**self.diagnostics,
                                 "model": model_spec_hash(self.model)})
-
-    def _rows(self, seed, streams) -> np.ndarray:
-        """The arrays behind sample(): sample_batch, plus dx2 where a
-        backend has it."""
-        return self.sample_batch(seed, streams)
 
 
 # ----------------------------------------------------------------------
@@ -218,119 +201,6 @@ class CholeskySampler(_Sampler):
     @property
     def diagnostics(self) -> dict:
         return {"jitter": self.jitter}
-
-
-# ----------------------------------------------------------------------
-# spectral backend
-# ----------------------------------------------------------------------
-class SpectralSampler(_Sampler):
-    """Harmonic synthesis X2(t) = sum_j sqrt(f2(l_j) dl) [xi_j cos(l_j t)
-    + eta_j sin(l_j t)], with the consistent derivative using the same
-    (xi, eta).  X1 is built per the model class: independent noise for
-    independent models, rho1 X2' + rho2 Z for the regression family.
-    """
-
-    backend = "spectral"
-
-    def __init__(self, model: CovarianceModel, grid: GridSpec, n_freq: int = 4096):
-        if n_freq < 256:
-            raise ParameterError("n_freq must be at least 256")
-        if model.f2 is None:
-            raise CapabilityError("spectral backend needs f2")
-        self.model = model
-        self.grid = grid
-        self.construction = model.meta.get("construction")
-        if self.construction not in ("iid", "independent", "regression"):
-            raise CapabilityError(
-                "spectral backend supports iid/independent/regression models")
-        if self.construction in ("iid", "independent") and model.f1 is None:
-            raise CapabilityError("independent spectral synthesis needs f1")
-        self.n_freq = n_freq
-        lam_max = self._lambda_max()
-        dl = lam_max / n_freq
-        self.lam = (np.arange(n_freq) + 0.5) * dl
-        self.amp2 = np.sqrt(np.asarray(model.f2(self.lam), float) * dl)
-        if self.construction == "regression":
-            other, f_other = "rZ", self._rz_density()
-        else:
-            other, f_other = "f1", model.f1
-        self.amp_other = np.sqrt(np.asarray(f_other(self.lam), float) * dl)
-        # past 5% missing mass a coordinate is synthesised with the wrong law
-        masses = {"f2": float(np.sum(self.amp2 ** 2)),
-                  other: float(np.sum(self.amp_other ** 2))}
-        for name, mass in masses.items():
-            if abs(1.0 - mass) > 0.05:
-                raise ModelError(
-                    f"{name} mass on the frequency window [0, {lam_max:g}] is "
-                    f"{mass:.4f}, not 1 within 0.05: spectrum unnormalized or "
-                    "too heavy-tailed for the window that f2 sets")
-        self.trunc2, self.trunc_other = (abs(1.0 - m) for m in masses.values())
-        # every frequency is an odd multiple of dl/2, so the synthesised
-        # covariance is antiperiodic: r(2 pi/dl - t) = -r(t), r(pi/dl) = 0
-        if grid.T > math.pi / dl:
-            raise ParameterError(
-                f"spectral synthesis with n_freq = {n_freq} and lambda_max = "
-                f"{lam_max:g} holds only for T <= pi*n_freq/lambda_max = "
-                f"{math.pi / dl:.4g} (half-period of the frequency grid), "
-                f"got T = {grid.T:g}; raise n_freq")
-        # t_k = (qP + r) dt splits e^{i l_j t_k} into B[j, q] A[j, r]: two
-        # n_freq x ~sqrt(n) phase tables in place of dense n_freq x n ones
-        P = math.isqrt(grid.n - 1) + 1
-        Q = -(-grid.n // P)
-        self._A = np.exp(1j * np.outer(self.lam, np.arange(P) * grid.dt))       # [j, r]
-        self._Bt = np.exp(1j * np.outer(np.arange(Q) * P * grid.dt, self.lam))  # [q, j]
-
-    def _lambda_max(self):
-        # expand until the tail mass of f2 is negligible
-        lam = 8.0
-        for _ in range(8):
-            mass, _ = adaptive_quad(self.model.f2, 0.0, lam, 1e-10, 1e-10)
-            if abs(1.0 - mass) < 1e-6:
-                return lam
-            lam *= 2.0
-        return lam
-
-    def _rz_density(self):
-        from .covmodel import family_from_name
-        rz = dict(self.model.meta["rz"])
-        fam = family_from_name(rz.pop("family"), **rz)
-        if fam.f is None:
-            raise CapabilityError("regression spectral synthesis needs the rZ spectrum")
-        return fam.f
-
-    def _rows(self, seed: int, streams) -> np.ndarray:
-        """(len(streams), 3, n) array of (x1, x2, dx2); dx2 comes from the
-        same frequency noise as x2."""
-        out = np.empty((len(streams), 3, self.grid.n))
-        for i, s in enumerate(streams):
-            rng = _rng(seed, s)
-            xi, eta = rng.standard_normal((2, self.n_freq))
-            xo, eo = rng.standard_normal((2, self.n_freq))
-            # each row is Re sum_j c_j e^{i l_j t}: Re[(xi - i eta) e^{ilt}] is
-            # xi cos + eta sin, Re[l (eta + i xi) e^{ilt}] is l (eta cos - xi sin)
-            c = np.stack([self.amp2 * (xi - 1j * eta),
-                          self.amp2 * self.lam * (eta + 1j * xi),
-                          self.amp_other * (xo - 1j * eo)])
-            rows = (self._Bt @ (c[:, :, None] * self._A)).reshape(3, -1)
-            x2, dx2, other = rows[:, :self.grid.n].real
-            if self.construction == "regression":
-                rho1, rho2 = self.model.meta["rho1"], self.model.meta["rho2"]
-                out[i, 0] = rho1 * dx2 + rho2 * other
-            else:
-                out[i, 0] = other
-            out[i, 1], out[i, 2] = x2, dx2
-        return out
-
-    def sample_batch(self, seed: int, streams) -> np.ndarray:
-        return self._rows(seed, streams)[:, :2]
-
-    @property
-    def diagnostics(self) -> dict:
-        return {"n_freq": self.n_freq,
-                "covariance_truncation": max(self.trunc2, self.trunc_other)}
-
-    def _on_grid(self, grid: GridSpec) -> "SpectralSampler":
-        return SpectralSampler(self.model, grid, n_freq=self.n_freq)
 
 
 # ----------------------------------------------------------------------
@@ -504,8 +374,8 @@ def smooth_path(path: SamplePath, epsilon: float) -> SamplePath:
 # path import/export
 # ----------------------------------------------------------------------
 def export_path_csv(path: SamplePath, fileobj) -> None:
-    """CSV columns (t, x1, x2[, dx2]); header comments record the model
-    hash, seed, backend and diagnostics."""
+    """CSV columns (t, x1, x2); header comments record the model hash,
+    seed, backend and diagnostics."""
     close = False
     if isinstance(fileobj, (str, bytes)):
         fileobj = open(fileobj, "w")
@@ -514,11 +384,8 @@ def export_path_csv(path: SamplePath, fileobj) -> None:
         hdr = {"seed": path.seed, "stream": path.stream,
                "backend": path.backend, **path.meta}
         fileobj.write(f"# windlab-path {json.dumps(hdr, sort_keys=True, default=str)}\n")
-        cols = "t,x1,x2" + (",dx2" if path.dx2 is not None else "")
-        fileobj.write(cols + "\n")
-        t = path.times()
-        data = [t, path.x1, path.x2] + ([path.dx2] if path.dx2 is not None else [])
-        for row in zip(*data):
+        fileobj.write("t,x1,x2\n")
+        for row in zip(path.times(), path.x1, path.x2):
             fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
     finally:
         if close:
@@ -526,8 +393,8 @@ def export_path_csv(path: SamplePath, fileobj) -> None:
 
 
 def load_path_csv(fileobj) -> SamplePath:
-    """Inverse of export_path_csv; accepts externally generated files with
-    the same column layout."""
+    """Inverse of export_path_csv; accepts externally generated files whose
+    first three columns are t, x1, x2, and ignores any later column."""
     close = False
     if isinstance(fileobj, (str, bytes)):
         fileobj = open(fileobj)
@@ -544,14 +411,11 @@ def load_path_csv(fileobj) -> SamplePath:
         if lines[i].startswith("# windlab-path "):
             meta = json.loads(lines[i][len("# windlab-path "):])
         i += 1
-    cols = lines[i].split(",")
-    arr = np.loadtxt(io.StringIO("\n".join(lines[i + 1:])), delimiter=",")
-    if arr.ndim == 1:
-        arr = arr[None, :]
+    arr = np.loadtxt(io.StringIO("\n".join(lines[i + 1:])), delimiter=",",
+                     usecols=(0, 1, 2), ndmin=2)
     t = arr[:, 0]
     grid = GridSpec(T=float(t[-1] - t[0]), n=len(t))
-    dx2 = arr[:, 3] if "dx2" in cols else None
-    return SamplePath(grid=grid, x1=arr[:, 1], x2=arr[:, 2], dx2=dx2,
+    return SamplePath(grid=grid, x1=arr[:, 1], x2=arr[:, 2],
                       seed=int(meta.get("seed", 0)),
                       stream=int(meta.get("stream", 0)),
                       backend=meta.get("backend", "file"), meta=meta)

@@ -24,6 +24,10 @@ OU_BF = {"x1": {"family": "ou"}, "x2": {"family": "bargmann_fock"},
 REGRESSION = {"x2": {"family": "bargmann_fock"},
               "cross": {"type": "regression", "rho1": 0.3,
                         "rz": {"family": "bargmann_fock"}}}
+# X1 = 0.6 X2' + 0.8 Z with an OU Z: dependent on X2 and not differentiable
+ROUGH_REGRESSION = {"x2": {"family": "bargmann_fock"},
+                    "cross": {"type": "regression", "rho1": 0.6,
+                              "rz": {"family": "ou"}}}
 TWO_ALPHA = {"x1": {"family": "alpha", "alpha": 1.2},
              "x2": {"family": "alpha", "alpha": 1.2}, "cross": "independent"}
 
@@ -232,3 +236,34 @@ def test_c11_determinism_and_parallel_invariance():
     _line(11, "byte-identical reports, worker-count invariance",
           byte_identical and parallel_same,
           f"bytes equal: {byte_identical}, parallel == serial: {parallel_same}")
+
+
+def test_c12_variance_dependent_rough_x1():
+    cfg = w.ExperimentConfig(model=ROUGH_REGRESSION, kind="variance",
+                             backend="circulant", t_ladder=[200.0], dt=0.01,
+                             replications=2000, seed=SEED + 12)
+    rep = w.run_variance(cfg)
+    row = rep["result"]["rows"][0]
+    assert not rep["result"]["independent"] and row["n_rejected"] == 0
+    v_t = row["v_T_general"]
+    half = (row["ci99_hi"] - row["ci99_lo"]) / 2.0
+    covered = row["ci99_lo"] <= v_t <= row["ci99_hi"]
+    within = abs(row["var_rate"] - v_t) <= 0.05 * v_t + half
+    detail = (f"var/T={row['var_rate']:.5f} V_T={v_t:.5f} "
+              f"ci=[{row['ci99_lo']:.5f},{row['ci99_hi']:.5f}]")
+    _line(12, "general-case variance, regression rho1=0.6 with OU noise",
+          covered and within, detail)
+
+
+def test_c13_clt_dependent_rough_x1():
+    cfg = w.ExperimentConfig(model=ROUGH_REGRESSION, kind="clt",
+                             backend="circulant", t_ladder=[200.0], dt=0.01,
+                             replications=2000, seed=SEED + 13)
+    rep = w.run_clt(cfg)
+    row = rep["result"]["per_t"][0]
+    assert rep["result"]["standardized_by"] == "general-case integral V_inf"
+    ok = row["p_value"] > 0.01 and abs(row["skewness"]) < 0.15
+    detail = (f"KS p={row['p_value']:.3f} d={row['ks_distance']:.4f} "
+              f"skew={row['skewness']:.3f} (se {row['skewness_se']:.3f}) "
+              f"V_inf={row['v_inf_used']:.5f}")
+    _line(13, "central limit theorem, dependent rough X1, T=200", ok, detail)

@@ -62,9 +62,8 @@ class TestDeterminism:
     def test_all_backends_simulate(self):
         from windlab.covmodel import model_from_spec
         model = model_from_spec(IID_BF)
-        for backend in ("circulant", "spectral", "cholesky"):
-            sim = simulate_windings(model, 10.0, 0.05, backend, 5, 40,
-                                    n_freq=512)
+        for backend in ("circulant", "cholesky"):
+            sim = simulate_windings(model, 10.0, 0.05, backend, 5, 40)
             assert sim["accepted"].sum() == 40
 
     def test_write_report_stable_bytes(self, tmp_path):
@@ -114,10 +113,6 @@ class TestSamplerDiagnostics:
         rep = run_expectation(small_cfg(backend="cholesky", t_ladder=[5.0],
                                         dt=0.05, replications=10))
         assert rep["result"]["rows"][0]["jitter"] in (0.0, 1e-12)
-        rep = run_expectation(small_cfg(backend="spectral", t_ladder=[5.0],
-                                        dt=0.05, replications=10, n_freq=512))
-        row = rep["result"]["rows"][0]
-        assert row["n_freq"] == 512 and row["covariance_truncation"] < 0.05
 
 
 class TestExpectationRun:
@@ -213,6 +208,14 @@ class TestCltRun:
         row = rep["result"]["per_t"][0]
         assert 0.0 <= row["ks_distance"] <= 1.0
         assert row["v_inf_used"] == pytest.approx(0.058643621347644, abs=1e-9)
+        assert rep["result"]["standardized_by"] == "independent-case quadrature V_inf"
+
+    def test_bound_mode_is_named(self):
+        # two rough coordinates: V_inf is the smoothing-limit bound
+        rep = run_clt(small_cfg(model=TWO_ALPHA, kind="clt", t_ladder=[5.0],
+                                replications=20))
+        assert rep["result"]["standardized_by"].startswith(
+            "independent-case quadrature V_inf; bound mode")
 
     def test_lattice_ks_statistic(self):
         # exact normal integers: distance small; shifted: distance large
@@ -449,16 +452,15 @@ class TestCli:
         ("simulate", {"export_paths": -1}, [], "export_paths"),
         ("moments", {"backend": "foo"}, [], "backend"),
         ("simulate", {"t_ladder": [-5]}, [], "positive"),
-        ("simulate", {"n_freq": 100}, [], "n_freq"),
+        # the spectral backend's frequency count is no longer a config key
+        ("simulate", {"n_freq": 4096}, [], "n_freq"),
         ("check", {}, ["--seed", "-1"], "seed"),
         ("simulate", {"model": "not json"}, [], "model spec"),
         ("simulate", {"out_dir": 5}, [], "out_dir"),
         ("check", {"correlations_file": 5}, [], "correlations_file"),
-        ("simulate", {"backend": "spectral", "n_freq": 256, "t_ladder": [120.0],
-                      "dt": 0.05}, [], "half-period"),
-        ("simulate", {"backend": "spectral",
-                      "model": {"x1": {"family": "ou"}, "x2": {"family": "bargmann_fock"},
-                                "cross": "independent"}}, [], "f1 mass"),
+        ("simulate", {"backend": "spectral"}, [], "backend"),
+        # a rough X2 has no general-case V_T: exit before the first path
+        ("variance", {"model": TWO_ALPHA}, [], "differentiable"),
         # the kernel spans more steps than the default T = 5 grid has
         ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [8.0, 0.5]}, [],
          "epsilon"),
@@ -487,11 +489,15 @@ class TestCli:
         def no_bound(*args, **kwargs):
             raise AssertionError("a rejected config computed the two-alpha bound")
 
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a rejected config simulated paths")
+
         # two CPUs, whatever the machine: the worker bound is checked
         # without starting a thread
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(harness, "ThreadPoolExecutor", no_threads)
         monkeypatch.setattr(harness, "variance_bound_two_alpha", no_bound)
+        monkeypatch.setattr(harness, "simulate_windings", no_simulation)
         cfg = {"model": IID_BF, "t_ladder": [5.0], "dt": 0.05,
                "replications": 10, **fields}
         path = tmp_path / "cfg.json"

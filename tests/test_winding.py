@@ -7,8 +7,7 @@ import pytest
 
 from windlab.errors import AliasingError, ParameterError, ResolutionError
 from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
-                             SamplePath, SpectralSampler, export_path_csv,
-                             load_path_csv)
+                             SamplePath, export_path_csv, load_path_csv)
 from windlab.winding import (count_windings, count_windings_arrays,
                              count_windings_refined, smoothed_winding)
 
@@ -113,8 +112,8 @@ class TestGuards:
 
 
 class TestRefinedCounting:
-    def test_spectral_stability_rate(self, iid_bf):
-        s = SpectralSampler(iid_bf, GridSpec.from_dt(20.0, 0.01), n_freq=2048)
+    def test_stability_rate(self, iid_bf):
+        s = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 0.01))
         stable = []
         for k in range(250):
             r = count_windings_refined(s, seed=5, stream=k)
@@ -122,8 +121,8 @@ class TestRefinedCounting:
         assert np.mean(stable) > 0.98
 
     def test_coarse_grid_less_stable(self, iid_bf):
-        s_fine = SpectralSampler(iid_bf, GridSpec.from_dt(20.0, 0.01), n_freq=2048)
-        s_coarse = SpectralSampler(iid_bf, GridSpec.from_dt(20.0, 1.0), n_freq=2048)
+        s_fine = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 0.01))
+        s_coarse = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 1.0))
         fine, coarse = [], []
         for k in range(120):
             fine.append(count_windings_refined(s_fine, 6, k).refinement_stable)
@@ -158,7 +157,7 @@ class TestSmoothedWinding:
 
     def test_smooth_model_paths_insensitive(self, iid_bf):
         # a differentiable path keeps its count under mild smoothing
-        p = SpectralSampler(iid_bf, GridSpec.from_dt(20.0, 0.01), n_freq=2048).sample(11)
+        p = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 0.01)).sample(11)
         base = count_windings(p).n_w
         res = smoothed_winding(p, [0.1, 0.05, 0.025])
         assert all(r.n_w == base for r in res.results)

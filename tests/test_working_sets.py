@@ -13,12 +13,9 @@ import windlab
 from windlab import harness, moments
 from windlab.covmodel import make_alpha_process, model_from_spec
 from windlab.harness import quadrant_mc, random_psd_quadrant, simulate_windings
-from windlab.pathgen import GridSpec, SpectralSampler
+from windlab.pathgen import GridSpec
 
 IID_BF = {"x": {"family": "bargmann_fock"}, "cross": "iid"}
-REGRESSION = {"x2": {"family": "bargmann_fock"},
-              "cross": {"type": "regression", "rho1": 0.3,
-                        "rz": {"family": "bargmann_fock"}}}
 
 
 def _peak_bytes(fn):
@@ -35,15 +32,6 @@ def test_two_alpha_bound_peak_memory():
     peak = _peak_bytes(
         lambda: moments.variance_bound_two_alpha(model, [0.4, 0.2, 0.1, 0.05]))
     assert peak < 2 << 20
-
-
-def test_spectral_sampler_peak_memory():
-    # dense n_freq x n cos/sin tables would take 2 x 4096 x 5001 doubles,
-    # 313 MiB; the two phase tables take 4096 x 71 complex values each
-    model = model_from_spec(REGRESSION)
-    peak = _peak_bytes(lambda: SpectralSampler(
-        model, GridSpec.from_dt(50.0, 0.01), n_freq=4096).sample(1))
-    assert peak < 64 << 20
 
 
 def test_chunk_size_does_not_change_counts(monkeypatch):
