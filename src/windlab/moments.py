@@ -11,8 +11,13 @@ term (the unsigned crossing count contributes E[#zeros with X1 > 0]/T
             [2 pi E_c(t)/sqrt(1 - r2^2) - r12'(0)^2] dt,
 
 with E_c the conditional quadrant expectation evaluated through the
-standardized closed form; V_inf, the T -> inf limit, has the weight 2
-over [0, inf).  For independent coordinates the integrand collapses to
+standardized closed form.  With A(T) and B(T) the integrals over [0, T]
+of the bracket [...] and of t [...], the weight 2 (1 - t/T) splits as
+
+  V_T = 1/(2 pi) + 2 (A(T) - B(T)/T)/(2 pi)^2,  V_inf = 1/(2 pi) + 2 A(inf)/(2 pi)^2,
+
+V_inf being the T -> inf limit, so one quadrature from lag 0 serves every
+horizon.  For independent coordinates the integrand collapses to
 (-f')(t) P(r1(t)) and integration by parts yields the limit
 
   V_inf = I / (2 pi^2),    I = int_0^inf r1' r2' /
@@ -55,7 +60,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_T_CUT = 1e-3  # below this lag the general integrand is extrapolated
 # the epsilon sweep of the two-alpha bound: the bump takes 2 _BUMP_HALF + 1
 # samples across [-eps, eps]; the lattice head covers [0, _HEAD eps], and
 # the tail's kernel sums take a bump of 2 _TAIL_HALF + 1 samples
@@ -73,21 +77,22 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ParameterError("tolerances must be positive")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ParameterError("t_max must be positive")
+        # written so that NaN fails every comparison
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ParameterError("tolerances must be positive and finite")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise ParameterError("t_max must be positive and finite")
 
 
 @dataclass
 class MomentReport:
     expectation_rate: float
-    v_t: Optional[float]
-    v_t_err: Optional[float]
+    v_t: Optional[float | list]  # a list for a ladder of horizons
+    v_t_err: Optional[float | list]
     v_inf: Optional[float]
     v_inf_err: Optional[float]
     method: str
-    horizon: Optional[float] = None
+    horizon: Optional[float | list] = None
     extras: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -246,47 +251,48 @@ def _ec_bracket(model, rho1_sq):
     return bracket
 
 
-def variance_rate_general(model: CovarianceModel, T: float,
+def variance_rate_general(model: CovarianceModel, T,
                           q: QuadratureSpec = QuadratureSpec()) -> MomentReport:
-    """Variance rates by the conditional-quadrant integrand.
+    """V_T and V_inf from A and B of the module docstring, in one pass.
 
-    V_T integrates the bracket with the weight 2 (1 - t/T) over [0, T];
-    V_inf is the T -> inf limit of the same expression, the improper
-    integral of 2 bracket(t) over [0, inf).
+    T is a horizon or a strictly increasing sequence of them; v_t, v_t_err
+    and horizon follow its shape.  A and B are integrated from 0 on panels
+    that end at the horizons and at t_max 2^k, so that no panel's nodes
+    step over the lags where the bracket lives; A(inf) adds the tail past
+    the last horizon.
     """
     if not model.x2_differentiable:
         raise CapabilityError("variance_rate_general needs a differentiable X2")
     model.require("d_r2", "dd_r2", "d_r12", "d_r1")
-    if T <= 0:
-        raise ParameterError("T must be positive")
-    rho1_sq = float(model.d_r12(0.0)) ** 2
-    bracket = _ec_bracket(model, rho1_sq)
-
-    def v_at(horizon):
-        def weighted(t):
-            return 2.0 * (1.0 - t / horizon) * bracket(t)
-
-        # [0, t_cut]: quadratic extrapolation of the (finite) t -> 0 limit
-        b1, b2, b3 = bracket(_T_CUT), bracket(2 * _T_CUT), bracket(4 * _T_CUT)
-        b0 = (8.0 * b1) / 3.0 - 2.0 * b2 + b3 / 3.0
-        head = 0.5 * (2.0 * b0 + 2.0 * (1.0 - _T_CUT / horizon) * b1) * _T_CUT
-        head_err = abs(b0 - b1) * _T_CUT
-        if math.isinf(horizon):
-            body, body_err = integrate_to_infinity(
-                weighted, _T_CUT, q.abs_tol, q.rel_tol, t_max=q.t_max or 25.0)
-        else:
-            body, body_err = adaptive_quad(weighted, _T_CUT, horizon,
-                                           q.abs_tol, q.rel_tol)
-        val = 1.0 / TWO_PI + (head + body) / TWO_PI ** 2
-        return val, (head_err + body_err) / TWO_PI ** 2
-
-    v_t, v_t_err = v_at(T)
-    v_inf, v_inf_err = v_at(math.inf)
+    horizons = np.atleast_1d(np.asarray(T, float))
+    if not (horizons.ndim == 1 and horizons.size and 0 < horizons[0]
+            and (np.diff(horizons) > 0).all() and horizons[-1] < math.inf):
+        raise ParameterError("T must be a finite positive horizon or a "
+                             f"strictly increasing sequence of them, got {T}")
+    bracket = _ec_bracket(model, float(model.d_r12(0.0)) ** 2)
+    ends, cut = set(horizons.tolist()), q.t_max or 25.0
+    while cut < horizons[-1]:
+        ends.add(cut)
+        cut *= 2.0
+    a = b = e_a = e_b = lo = 0.0
+    v_t, v_t_err, c = [], [], 2.0 / TWO_PI ** 2
+    for hi in sorted(ends):
+        da, ea = adaptive_quad(bracket, lo, hi, q.abs_tol, q.rel_tol)
+        db, eb = adaptive_quad(lambda t: t * bracket(t), lo, hi,
+                               q.abs_tol, q.rel_tol)
+        a, b, e_a, e_b, lo = a + da, b + db, e_a + ea, e_b + eb, hi
+        if hi in horizons:
+            v_t.append(1.0 / TWO_PI + c * (a - b / hi))
+            v_t_err.append(c * (e_a + e_b / hi))
+    tail, e_tail = integrate_to_infinity(
+        bracket, lo, q.abs_tol, q.rel_tol, t_max=max(q.t_max or 25.0, 2.0 * lo))
+    scalar = np.ndim(T) == 0
     return MomentReport(
         expectation_rate=expectation_rate(model),
-        v_t=v_t, v_t_err=v_t_err,
-        v_inf=v_inf, v_inf_err=v_inf_err,
-        method="general_integrand", horizon=T,
+        v_t=v_t[0] if scalar else v_t,
+        v_t_err=v_t_err[0] if scalar else v_t_err,
+        v_inf=1.0 / TWO_PI + c * (a + tail), v_inf_err=c * (e_a + e_tail),
+        method="general_integrand", horizon=T if scalar else horizons.tolist(),
     )
 
 
@@ -498,7 +504,7 @@ def _lattice_head(model, epsilon, g, w, dw):
     c0 = 1.0 - d[0]
     omr = (d[1:] - d[0]) / c0  # 1 - rho_eps = (C(0) - C(t_m))/C(0)
     # theta_eps' = -rho_eps'/sqrt(1 - rho_eps^2), with rho_eps' = -D'/C(0);
-    # at t = 0 (0/0) it is extrapolated: theta_eps' is even and smooth in t
+    # at t = 0 (0/0) it comes from t_1, t_2: theta_eps' is even and smooth in t
     th = np.empty(d.size)
     th[1:] = d_prime[1:] / (epsilon * c0 * np.sqrt(omr * (2.0 - omr)))
     th[0] = (4.0 * th[1] - th[2]) / 3.0

@@ -407,10 +407,12 @@ def load_path_csv(fileobj) -> SamplePath:
     meta = {}
     lines = text.strip().splitlines()
     i = 0
-    while lines[i].startswith("#"):
+    while i < len(lines) and lines[i].startswith("#"):
         if lines[i].startswith("# windlab-path "):
             meta = json.loads(lines[i][len("# windlab-path "):])
         i += 1
+    if len(lines) < i + 3:  # the header and two data rows
+        raise ParameterError("path CSV: need at least two data rows")
     arr = np.loadtxt(io.StringIO("\n".join(lines[i + 1:])), delimiter=",",
                      usecols=(0, 1, 2), ndmin=2)
     t = arr[:, 0]

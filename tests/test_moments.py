@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from windlab.covmodel import (bargmann_fock, make_alpha_process,
-                              make_independent_model, ornstein_uhlenbeck)
+from windlab.covmodel import (alpha_family, bargmann_fock, make_alpha_process,
+                              make_independent_model, make_regression_model,
+                              ornstein_uhlenbeck)
 from windlab.errors import (CapabilityError, DivergenceError, HypothesisError,
                             ParameterError)
 from windlab.gauss import conditional_cov
@@ -129,6 +130,42 @@ class TestVarianceGeneral:
         for model in (iid_bf, regression03):
             assert (variance_rate_general(model, 25.0).v_inf
                     == variance_rate_general(model, 200.0).v_inf)
+
+    def test_limit_meets_closed_form_to_1e12(self, ou_bf):
+        # the quadrature starts at lag 0: on a rough X1 the general V_inf
+        # meets I/(2 pi^2) within 1e-12, and its reported error covers the gap
+        alpha12_bf = make_independent_model(alpha_family(1.2), bargmann_fock())
+        for model in (ou_bf, alpha12_bf):
+            gen = variance_rate_general(model, 200.0)
+            gap = abs(gen.v_inf - variance_rate_independent(model).v_inf)
+            assert gap <= 1e-12
+            assert gap <= gen.v_inf_err <= 1e-9
+
+    def test_horizon_ladder_matches_scalar_calls(self, ou_bf):
+        ladder = (25.0, 50.0, 100.0, 200.0)
+        for model in (ou_bf, make_regression_model(bargmann_fock(),
+                                                   ornstein_uhlenbeck(), 0.6)):
+            rep = variance_rate_general(model, ladder)
+            assert rep.horizon == list(ladder)
+            assert len(rep.v_t) == len(rep.v_t_err) == len(ladder)
+            for T, v_t, v_t_err in zip(ladder, rep.v_t, rep.v_t_err):
+                one = variance_rate_general(model, T)
+                assert abs(v_t - one.v_t) <= v_t_err + one.v_t_err
+                assert one.v_inf == rep.v_inf
+
+    def test_long_horizon_keeps_the_bracket(self, iid_bf):
+        # at T = 1e5 the bracket lives on the first 1e-4 of [0, T]: V_T
+        # still sits just above V_inf, and V_inf keeps its value
+        rep = variance_rate_general(iid_bf, 1e5)
+        assert 0.0 < rep.v_t - rep.v_inf < 1e-5
+        assert rep.v_inf == pytest.approx(V_INF_IID_BF, abs=1e-12)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0, [],
+                                   [25.0, 25.0], [50.0, 25.0],
+                                   [25.0, math.nan], [[25.0, 50.0]]])
+    def test_bad_horizons_rejected(self, iid_bf, T):
+        with pytest.raises(ParameterError):
+            variance_rate_general(iid_bf, T)
 
     def test_monotone_horizon_convergence(self, iid_bf):
         vals = [variance_rate_general(iid_bf, T).v_t for T in (25, 50, 100, 200)]
@@ -335,6 +372,10 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ParameterError):
         QuadratureSpec(t_max=0.0)
+    for bad in (math.nan, math.inf):
+        for field in ("abs_tol", "rel_tol", "t_max"):
+            with pytest.raises(ParameterError):
+                QuadratureSpec(**{field: bad})
 
 
 def test_report_serialization(iid_bf):

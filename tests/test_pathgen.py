@@ -415,3 +415,9 @@ class TestPathIO:
                         + [row + ",0.5" for row in lines[2:]])
         r = load_path_csv(io.StringIO(old))
         assert np.array_equal(r.x1, q.x1) and np.array_equal(r.x2, q.x2)
+
+    @pytest.mark.parametrize("text", ["", "# a comment\n# another\n",
+                                      "t,x1,x2\n", "t,x1,x2\n0.0,1.0,0.5\n"])
+    def test_csv_without_two_data_rows_rejected(self, text):
+        with pytest.raises(ParameterError, match="two data rows"):
+            load_path_csv(io.StringIO(text))
