@@ -72,7 +72,7 @@ _TAIL_HALF = 100
 class QuadratureSpec:
     """Tolerances and truncation controls for the improper integrals."""
 
-    t_max: Optional[float] = None
+    t_max: float = 25.0
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
 
@@ -80,7 +80,7 @@ class QuadratureSpec:
         # written so that NaN fails every comparison
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ParameterError("tolerances must be positive and finite")
-        if self.t_max is not None and not 0 < self.t_max < math.inf:
+        if not 0 < self.t_max < math.inf:
             raise ParameterError("t_max must be positive and finite")
 
 
@@ -153,6 +153,14 @@ def _singularity_power(model) -> int:
     return int(math.ceil(1.0 / (1.0 + a))) + 1
 
 
+def _from_zero(model, g, T, abs_tol, rel_tol):
+    """adaptive_quad of g over [0, T] under the substitution t = u^p of
+    _singularity_power (the identity when p = 1)."""
+    p = _singularity_power(model)
+    return adaptive_quad(lambda u: g(u ** p) * p * u ** (p - 1), 0.0,
+                         T ** (1.0 / p), abs_tol, rel_tol)
+
+
 def _coupling_integral(model, q: QuadratureSpec):
     """I = int_0^inf r1' r2'/sqrt((1-r1^2)(1-r2^2)) dt by two rules.
 
@@ -172,16 +180,9 @@ def _coupling_integral(model, q: QuadratureSpec):
         raise DivergenceError(
             "coupling integral I is not Riemann convergent at 0; the "
             "independent-case variance hypothesis (I convergent) fails")
-    p = _singularity_power(model)
-    if p == 1:
-        head_gk, e_gk = adaptive_quad(g, 0.0, 1.0, q.abs_tol * 1e-2, q.rel_tol * 1e-2)
-    else:
-        head_gk, e_gk = adaptive_quad(
-            lambda u: g(u ** p) * p * u ** (p - 1), 0.0, 1.0,
-            q.abs_tol * 1e-2, q.rel_tol * 1e-2)
+    head_gk, e_gk = _from_zero(model, g, 1.0, q.abs_tol * 1e-2, q.rel_tol * 1e-2)
     head_ts, _ = tanh_sinh(g, 0.0, 1.0, tol=1e-12)
-    tail, e_tail = integrate_to_infinity(g, 1.0, q.abs_tol, q.rel_tol,
-                                         t_max=q.t_max or 25.0)
+    tail, e_tail = integrate_to_infinity(g, 1.0, q.abs_tol, q.rel_tol, q.t_max)
     disagreement = abs(head_gk - head_ts)
     value = head_gk + tail
     return value, e_gk + e_tail, disagreement
@@ -256,10 +257,9 @@ def variance_rate_general(model: CovarianceModel, T,
     """V_T and V_inf from A and B of the module docstring, in one pass.
 
     T is a horizon or a strictly increasing sequence of them; v_t, v_t_err
-    and horizon follow its shape.  A and B are integrated from 0 on panels
-    that end at the horizons and at t_max 2^k, so that no panel's nodes
-    step over the lags where the bracket lives; A(inf) adds the tail past
-    the last horizon.
+    and horizon follow its shape.  A and B are each one adaptive_quad call
+    from lag 0 to every horizon, whose panels end at the horizons and at
+    25 2^k; A(inf) adds integrate_to_infinity's tail past the last horizon.
     """
     if not model.x2_differentiable:
         raise CapabilityError("variance_rate_general needs a differentiable X2")
@@ -270,28 +270,21 @@ def variance_rate_general(model: CovarianceModel, T,
         raise ParameterError("T must be a finite positive horizon or a "
                              f"strictly increasing sequence of them, got {T}")
     bracket = _ec_bracket(model, float(model.d_r12(0.0)) ** 2)
-    ends, cut = set(horizons.tolist()), q.t_max or 25.0
-    while cut < horizons[-1]:
-        ends.add(cut)
-        cut *= 2.0
-    a = b = e_a = e_b = lo = 0.0
-    v_t, v_t_err, c = [], [], 2.0 / TWO_PI ** 2
-    for hi in sorted(ends):
-        da, ea = adaptive_quad(bracket, lo, hi, q.abs_tol, q.rel_tol)
-        db, eb = adaptive_quad(lambda t: t * bracket(t), lo, hi,
-                               q.abs_tol, q.rel_tol)
-        a, b, e_a, e_b, lo = a + da, b + db, e_a + ea, e_b + eb, hi
-        if hi in horizons:
-            v_t.append(1.0 / TWO_PI + c * (a - b / hi))
-            v_t_err.append(c * (e_a + e_b / hi))
-    tail, e_tail = integrate_to_infinity(
-        bracket, lo, q.abs_tol, q.rel_tol, t_max=max(q.t_max or 25.0, 2.0 * lo))
+    a, e_a = adaptive_quad(bracket, 0.0, horizons, q.abs_tol, q.rel_tol)
+    b, e_b = adaptive_quad(lambda t: t * bracket(t), 0.0, horizons,
+                           q.abs_tol, q.rel_tol)
+    tail, e_tail = integrate_to_infinity(bracket, horizons[-1], q.abs_tol,
+                                         q.rel_tol, q.t_max)
+    c = 2.0 / TWO_PI ** 2
+    v_t = (1.0 / TWO_PI + c * (a - b / horizons)).tolist()
+    v_t_err = (c * (e_a + e_b / horizons)).tolist()
     scalar = np.ndim(T) == 0
     return MomentReport(
         expectation_rate=expectation_rate(model),
         v_t=v_t[0] if scalar else v_t,
         v_t_err=v_t_err[0] if scalar else v_t_err,
-        v_inf=1.0 / TWO_PI + c * (a + tail), v_inf_err=c * (e_a + e_tail),
+        v_inf=1.0 / TWO_PI + c * (float(a[-1]) + tail),
+        v_inf_err=c * (float(e_a[-1]) + e_tail),
         method="general_integrand", horizon=T if scalar else horizons.tolist(),
     )
 
@@ -328,21 +321,20 @@ def variance_WT_route(model: CovarianceModel, T: float,
     if cls not in (ModelClass.INDEPENDENT, ModelClass.IID):
         raise ParameterError("the W_T route is defined for independent models")
     model.require("d_r1", "d_r2", "dd_r2")
-    if T <= 0:
-        raise ParameterError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ParameterError(f"T must be a finite positive horizon, got {T}")
 
     def fprime_arccos(t):
         return -_minus_f_prime(model, t) * orthant_angle(model.r1(t))
 
-    W_T = -adaptive_quad(fprime_arccos, 1e-9, T, q.abs_tol, q.rel_tol)[0]
-    w_t = adaptive_quad(lambda t: t * fprime_arccos(t), 1e-9, T,
+    W_T = -adaptive_quad(fprime_arccos, 0.0, T, q.abs_tol, q.rel_tol)[0]
+    w_t = adaptive_quad(lambda t: t * fprime_arccos(t), 0.0, T,
                         q.abs_tol, q.rel_tol)[0]
 
     def f_of(t):
         return float(model.d_r2(t)) / math.sqrt(float(model.omr2sq(t)))
 
-    partial_i = adaptive_quad(_i_integrand(model), 1e-9, T,
-                              q.abs_tol, q.rel_tol)[0]
+    partial_i = _from_zero(model, _i_integrand(model), T, q.abs_tol, q.rel_tol)[0]
     boundary = f_of(T) * orthant_angle(float(model.r1(T)))
     corrected = -math.pi / 2.0 - boundary + 0.5 * partial_i
     published_val = math.pi / 2.0 - boundary + partial_i
@@ -365,15 +357,6 @@ def var_I1(model: CovarianceModel, T: float) -> float:
     return (a0 * d10) ** 2 * (2.0 / T) * (1.0 - float(model.r2(T)))
 
 
-def _half_line(f, split, q, t_max=25.0):
-    """(value, error) of the integral of f over [0, inf): adaptive_quad on
-    [0, split] plus integrate_to_infinity from split, at q's tolerances."""
-    head, e_head = adaptive_quad(f, 0.0, split, q.abs_tol, q.rel_tol)
-    tail, e_tail = integrate_to_infinity(f, split, q.abs_tol, q.rel_tol,
-                                         t_max=t_max)
-    return head + tail, e_head + e_tail
-
-
 def chaos_projection_variances(model: CovarianceModel,
                                q: QuadratureSpec = QuadratureSpec()) -> dict:
     """Limits of Var(I_2(T)) and (independent models) Var(I_4(T)).
@@ -393,7 +376,7 @@ def chaos_projection_variances(model: CovarianceModel,
     def g2(t):
         return model.d_r1(t) * model.d_r2(t) + model.d_r12(t) * model.d_r12(-t)
 
-    i2, e2 = _half_line(g2, 1.0, q, q.t_max or 25.0)
+    i2, e2 = integrate_to_infinity(g2, 0.0, q.abs_tol, q.rel_tol, q.t_max)
     var_i2 = i2 / (2.0 * math.pi ** 2)
     out = {"var_I2_limit": var_i2, "var_I2_err": e2 / (2 * math.pi ** 2)}
 
@@ -401,12 +384,14 @@ def chaos_projection_variances(model: CovarianceModel,
     if model.f1 is not None and model.f2 is not None:
         def s2(lam):
             return lam * lam * model.f1(lam) * model.f2(lam)
-        spectral = _half_line(s2, 5.0, q)[0] / (4.0 * math.pi)
+        spectral = integrate_to_infinity(s2, 0.0, q.abs_tol, q.rel_tol,
+                                         q.t_max)[0] / (4.0 * math.pi)
         rho1 = model.meta.get("rho1")
         if model.meta.get("construction") == "regression" and rho1 is not None:
             def s2c(lam):
                 return lam ** 4 * model.f2(lam) ** 2
-            spectral += rho1 ** 2 * _half_line(s2c, 5.0, q)[0] / (4.0 * math.pi)
+            spectral += rho1 ** 2 * integrate_to_infinity(
+                s2c, 0.0, q.abs_tol, q.rel_tol, q.t_max)[0] / (4.0 * math.pi)
         out["var_I2_spectral"] = spectral
         out["var_I2_agreement"] = abs(spectral - var_i2)
 
@@ -420,7 +405,7 @@ def chaos_projection_variances(model: CovarianceModel,
         def g4(t):
             return (model.r1(t) ** 3 * -model.dd_r2(t)
                     + model.r2(t) ** 3 * -model.dd_r1(t))
-        i4, e4 = _half_line(g4, 1.0, q, q.t_max or 25.0)
+        i4, e4 = integrate_to_infinity(g4, 0.0, q.abs_tol, q.rel_tol, q.t_max)
         out["var_I4_limit"] = i4 / (2.0 * math.pi)
         out["var_I4_err"] = e4 / (2.0 * math.pi)
         if model.f1 is not None and model.f2 is not None:
@@ -575,10 +560,9 @@ def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid,
         g = _one_minus_r2(model, n * (e / _BUMP_HALF))
         head, c0 = _lattice_head(model, e, g, *fine)
         head_coarse, _ = _lattice_head(model, e, g[::2], *coarse)
-        t0 = _HEAD * e
         tail, tail_err = integrate_to_infinity(
-            _tail_integrand(model, e, c0, *tail_kernel), t0,
-            q.abs_tol, q.rel_tol, t_max=max(q.t_max or 25.0, 2.0 * t0))
+            _tail_integrand(model, e, c0, *tail_kernel), _HEAD * e,
+            q.abs_tol, q.rel_tol, q.t_max)
         i_eps = head + tail
         per_eps.append({"epsilon": float(e), "i_eps": i_eps,
                         "i_eps_err": abs(head - head_coarse) + tail_err,

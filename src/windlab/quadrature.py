@@ -3,7 +3,10 @@ and truncated integrals over [0, inf).
 
 Every routine returns ``(value, error_estimate)``.  ``adaptive_quad`` calls
 its integrand on 1-d arrays of nodes; ``tanh_sinh`` calls it on floats, so
-integrands shared by both accept either.  The tanh-sinh rule is an
+integrands shared by both accept either.  The panel rule lives in
+``adaptive_quad`` alone: from a, its first panels end at a + 25 2^k and at
+every requested end, so a long interval cannot hide a short-lived
+integrand from all 21 nodes of one panel.  The tanh-sinh rule is an
 independent second opinion used wherever a value is pinned from the
 agreement of two rules; it also handles integrable endpoint singularities
 (t^a with a > -1) without help.
@@ -12,10 +15,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ParameterError
 
 __all__ = [
     "adaptive_quad",
@@ -52,6 +56,9 @@ _WG21[1:10:2] = _WG
 _WG21[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
 _MAX_PANELS = 400
+# the first panels from a end at a + _FIRST_CUT 2^k; also the default t_max
+# of integrate_to_infinity
+_FIRST_CUT = 25.0
 
 
 def _gk21(f, a, b):
@@ -72,32 +79,67 @@ def _gk21(f, a, b):
 
 
 def adaptive_quad(f, a, b, abs_tol=1e-10, rel_tol=1e-10):
-    """Globally adaptive Gauss-Kronrod integration of f over [a, b].
+    """Globally adaptive Gauss-Kronrod integration of f from a to b.
 
-    f takes a 1-d array of nodes and returns an array of the same shape.
-    The panel with the largest error estimate is bisected (both halves in
-    one call of f) until the summed error is at most
-    max(abs_tol, rel_tol |I|), the rule holds _MAX_PANELS panels, or the
-    worst panel is too narrow to split in floating point.
+    b is one end or a strictly increasing sequence of ends; the result
+    follows its shape: floats for one end, arrays of the integrals from a
+    to each end for a sequence.  f takes a 1-d array of nodes and returns
+    an array of the same shape.  The first panels end at a + _FIRST_CUT 2^k
+    and at every end, so no panel of a long interval starts with all its
+    nodes past an integrand that lives near a.  One heap holds every
+    panel: the one with the largest error estimate is bisected (both halves
+    in one call of f) until the summed error is at most
+    max(abs_tol, rel_tol |I|), _MAX_PANELS bisections are spent, or the
+    worst panel is too narrow to split in floating point.  One end b < a
+    integrates from b to a and flips the sign.
     """
-    a, b = float(a), float(b)
-    val, err = _gk21(f, np.array([a]), np.array([b]))
-    # heap of (-error, left, right, value); the totals are kept alongside
-    panels = [(-err[0], a, b, val[0])]
-    total, total_err = val[0], err[0]
-    while total_err > max(abs_tol, rel_tol * abs(total)) and len(panels) < _MAX_PANELS:
-        e, lo, hi, v = panels[0]
+    a, ends = float(a), np.atleast_1d(np.asarray(b, float))
+    if not (math.isfinite(a) and np.isfinite(ends).all()):
+        raise ParameterError(f"integration limits must be finite, got {a} and {b}")
+    if np.ndim(b) == 0 and ends[0] < a:
+        val, err = adaptive_quad(f, ends[0], a, abs_tol, rel_tol)
+        return -val, err
+    if not (ends.ndim == 1 and ends.size and a <= ends[0]
+            and (np.diff(ends) > 0).all()):
+        raise ParameterError("the ends must be a strictly increasing sequence "
+                             f"from a = {a}, got {b}")
+    edges, cut = set(ends.tolist()), _FIRST_CUT
+    while a + cut < ends[-1]:
+        edges.add(a + cut)
+        cut *= 2.0
+    edges = sorted(edges)
+    los = [a] + edges[:-1]
+    vals, errs = _gk21(f, np.array(los), np.array(edges))
+    # heap of (-error, left, right, value, index of the first panel it
+    # came from); the totals are kept alongside
+    panels = [(-e, lo, hi, v, i) for i, (lo, hi, v, e)
+              in enumerate(zip(los, edges, vals.tolist(), errs.tolist()))]
+    heapq.heapify(panels)
+    total, total_err = math.fsum(vals), math.fsum(errs)
+    for _ in range(_MAX_PANELS):
+        if total_err <= max(abs_tol, rel_tol * abs(total)):
+            break
+        e, lo, hi, v, i = panels[0]
         mid = 0.5 * (lo + hi)
-        if not (min(lo, hi) < mid < max(lo, hi)):
+        if not lo < mid < hi:
             break
         heapq.heappop(panels)
         vals, errs = _gk21(f, np.array([lo, mid]), np.array([mid, hi]))
-        for left, right, vv, ee in zip((lo, mid), (mid, hi), vals, errs):
-            heapq.heappush(panels, (-ee, left, right, vv))
+        heapq.heappush(panels, (-errs[0], lo, mid, vals[0], i))
+        heapq.heappush(panels, (-errs[1], mid, hi, vals[1], i))
         total += vals[0] + vals[1] - v
         total_err += errs[0] + errs[1] + e
-    return (math.fsum(p[3] for p in panels),
-            math.fsum(-p[0] for p in panels))
+    # each first panel's pieces summed exactly, then running sums to the ends
+    v_parts, e_parts = [[] for _ in edges], [[] for _ in edges]
+    for e, _, _, v, i in panels:
+        v_parts[i].append(v)
+        e_parts[i].append(-e)
+    at = np.searchsorted(edges, ends)
+    val = np.array(list(accumulate(map(math.fsum, v_parts))))[at]
+    err = np.array(list(accumulate(map(math.fsum, e_parts))))[at]
+    if np.ndim(b) == 0:
+        return float(val[0]), float(err[0])
+    return val, err
 
 
 def tanh_sinh(f, a, b, tol=1e-12):
@@ -181,13 +223,15 @@ def tanh_sinh(f, a, b, tol=1e-12):
     return prev, change
 
 
-def integrate_to_infinity(f, t0=0.0, abs_tol=1e-10, rel_tol=1e-10, t_max=25.0):
-    """Integrate f over [t0, inf) with adaptive_quad by truncating at t_max
-    and doubling the horizon, at most 8 times, until the added
-    tail changes the value by less than tolerance.
+def integrate_to_infinity(f, t0=0.0, abs_tol=1e-10, rel_tol=1e-10,
+                          t_max=_FIRST_CUT):
+    """Integrate f over [t0, inf) with adaptive_quad by truncating at
+    max(t_max, 2 t0) and doubling the horizon, at most 8 times, until the
+    added tail changes the value by less than tolerance.
 
     Raises DivergenceError when the partial integrals are not Cauchy.
     """
+    t_max = max(t_max, 2.0 * t0)
     val, err = adaptive_quad(f, t0, t_max, abs_tol, rel_tol)
     prev_tail = math.inf
     for _ in range(8):

@@ -234,7 +234,7 @@ class TestVarianceGeneral:
 class TestWTRoute:
     def test_integration_by_parts_identity(self, iid_bf):
         wt = variance_WT_route(iid_bf, 50.0)
-        assert wt.ibp_residual < 1e-6
+        assert wt.ibp_residual < 1e-10
         # boundary term is negligible at T = 50, so W_T ~ -pi/2 + I_T/2
         assert wt.W_T == pytest.approx(-math.pi / 2 + wt.partial_i / 2, abs=1e-6)
         # the often-quoted +pi/2 variant differs by pi + I_T/2
@@ -257,6 +257,25 @@ class TestWTRoute:
     def test_requires_independent(self, regression03):
         with pytest.raises(ParameterError):
             variance_WT_route(regression03, 10.0)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_bad_horizons(self, iid_bf, T):
+        with pytest.raises(ParameterError):
+            variance_WT_route(iid_bf, T)
+
+    @pytest.mark.parametrize("name", ["iid_bf", "ou_bf"])
+    def test_long_horizons_match_general(self, name, request):
+        # integrated from lag 0 on panels that end at 25 2^k: no horizon
+        # steps over the integrands, and the residual is the identity's
+        model = request.getfixturevalue(name)
+        i_val = variance_rate_independent(model).extras["i_integral"]
+        horizons = [200.0, 3000.0, 1e4, 1e5]
+        v_t = variance_rate_general(model, horizons).v_t
+        for T, gen in zip(horizons, v_t):
+            wt = variance_WT_route(model, T)
+            assert abs(wt.v_t - gen) <= 1e-12, T
+            assert abs(wt.partial_i - i_val) <= 1e-9, T
+            assert wt.ibp_residual <= 1e-10, T
 
 
 class TestChaosProjections:
