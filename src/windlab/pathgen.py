@@ -210,9 +210,14 @@ class CirculantSampler(_Sampler):
     """Circulant embedding; scalar per coordinate for independent models,
     2x2 block (Hermitian spectral matrices, per-frequency factorization)
     otherwise.  The embedding length L is the shortest fast FFT length
-    covering 2(n-1) lags (Wood & Chan 1994); negative embedding eigenvalues
-    trigger padding doubling up to 8x, after which remaining negative mass
-    is clipped and recorded.  Each coordinate is one real inverse FFT of
+    covering n - 1 + min(h, n - 1) lags, h being one past the last grid lag
+    at which r1, r2 or r12(+-t) is not exactly 0.0: 2(n-1) (Wood & Chan
+    1994) unless the covariance vanishes inside the grid.  A grid lag d
+    that wraps has d and L - |d| both at least h, where the covariance is
+    0, so the embedded covariance matrix equals the target entry for entry
+    (Dietrich & Newsam 1997).  Negative embedding eigenvalues trigger
+    padding doubling up to 8x, after which remaining negative mass is
+    clipped and recorded.  Each coordinate is one real inverse FFT of
     Hermitian half-spectrum noise (Dietrich & Newsam 1997).  Noise channel
     c draws normals only for its first K_c half-spectrum bins, the fewest
     whose dropped weight is at most _BAND_TOL of the channel's total; the
@@ -225,6 +230,13 @@ class CirculantSampler(_Sampler):
         self.model = model
         self.grid = grid
         self.independent = classify(model) in (ModelClass.INDEPENDENT, ModelClass.IID)
+        # h: one past the last grid lag at which any correlation is nonzero
+        lags = np.arange(grid.n) * grid.dt
+        rs = [model.r1(lags), model.r2(lags)]
+        if not self.independent:
+            rs += [model.r12(lags), model.r12(-lags)]
+        h = 1 + int(np.flatnonzero(np.any(np.asarray(rs, float) != 0.0, axis=0))[-1])
+        self._base = grid.n - 1 + min(h, grid.n - 1)
         self.pad = 1
         while not self._build(self.pad) and self.pad < 8:
             self.pad *= 2
@@ -243,7 +255,7 @@ class CirculantSampler(_Sampler):
                 "truncated_mass": self.truncated_mass}
 
     def _build(self, pad) -> bool:
-        self.L = L = next_fast_len(max(2 * (self.grid.n - 1), 2) * pad)
+        self.L = L = next_fast_len(self._base * pad)
         k = np.arange(L)
         tau = np.where(k <= L // 2, k, k - L) * self.grid.dt
         # half-spectrum bins 0..L//2; all but bin 0 and an even L's Nyquist

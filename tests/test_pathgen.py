@@ -147,6 +147,37 @@ class TestSpectral:
         assert worst < 4.0
 
 
+def _model(name, request):
+    """A conftest fixture by name, or even_cross: X1 = 0.6 X2 + 0.8 Z on
+    iid Bargmann-Fock, an even r12, so the 2x2 spectral matrices of the
+    real bins are not diagonal."""
+    if name == "even_cross":
+        bf = request.getfixturevalue("iid_bf")
+        return replace(bf, r12=lambda t: 0.6 * bf.r2(t))
+    return request.getfixturevalue(name)
+
+
+def _worst_lag_z(model, s, seed, n_rep=20_000, chunk=500):
+    """Largest |mean - model| / SE over the four lag covariances
+    E[X1(t) X1(0)], E[X2(t) X2(0)], E[X1(t) X2(0)], E[X1(0) X2(t)] of
+    n_rep paths, drawn chunk at a time, at every grid lag against r1(t),
+    r2(t), r12(t), r12(-t)."""
+    n = s.grid.n
+    acc = np.zeros((2, 4, n))  # sums and sums of squares
+    for a in range(0, n_rep, chunk):
+        x = s.sample_batch(seed, range(a, min(a + chunk, n_rep)))
+        x1, x2 = x[:, 0], x[:, 1]
+        prods = np.stack([x1 * x1[:, :1], x2 * x2[:, :1],
+                          x1 * x2[:, :1], x1[:, :1] * x2], axis=1)
+        acc[0] += prods.sum(axis=0)
+        acc[1] += (prods ** 2).sum(axis=0)
+    mean = acc[0] / n_rep
+    se = np.sqrt((acc[1] / n_rep - mean ** 2) / (n_rep - 1))
+    t = s.grid.times()
+    want = np.stack([model.r1(t), model.r2(t), model.r12(t), model.r12(-t)])
+    return float(np.max(np.abs(mean - want) / se))
+
+
 class TestCirculant:
     def test_ou_minimal_embedding_nonnegative(self, ou_bf):
         s = CirculantSampler(ou_bf, GridSpec.from_dt(10.0, 0.01))
@@ -172,33 +203,44 @@ class TestCirculant:
             zmax = max(zmax, abs(float(a.mean() - b.mean())) / se)
         assert zmax < 3.3
 
-    @pytest.mark.parametrize("n, L", [(62, 125), (61, 120)])
+    @pytest.mark.parametrize("n, L", [(62, 125), (61, 120), (301, 500)])
     @pytest.mark.parametrize("name", ["iid_bf", "ou_bf", "regression03", "even_cross"])
     def test_lag_covariance_matches_model(self, name, n, L, request):
-        # E[X1(t) X1(0)], E[X2(t) X2(0)], E[X1(t) X2(0)] and E[X1(0) X2(t)]
-        # against r1(t), r2(t), r12(t), r12(-t) at every grid lag, with an
-        # odd and an even embedding length; 4.5 SE over 4n cells.
-        # even_cross is X1 = 0.6 X2 + 0.8 Z: an even r12, so the 2x2
-        # spectral matrices of the real bins are not diagonal
-        if name == "even_cross":
-            bf = request.getfixturevalue("iid_bf")
-            model = replace(bf, r12=lambda t: 0.6 * bf.r2(t))
-        else:
-            model = request.getfixturevalue(name)
+        # the four lag covariances of 20000 paths at every grid lag within
+        # 4.5 SE, with an odd and an even embedding length, and at
+        # n = 301, dt = 0.2, where Bargmann-Fock's covariance is 0.0 past
+        # lag 194 and L = 500 < 600: lags 251..300 wrap.  OU never
+        # vanishes, so OU x BF keeps L = next_fast_len(2(n - 1))
+        model = _model(name, request)
         grid = GridSpec(T=(n - 1) * 0.2, n=n)
         s = CirculantSampler(model, grid)
+        if name == "ou_bf":
+            L = pathgen.next_fast_len(2 * (n - 1))
         assert (s.L, s.pad) == (L, 1)
-        arr = s.sample_batch(5, range(20_000))
-        x1, x2 = arr[:, 0], arr[:, 1]
-        t = grid.times()
-        worst = 0.0
-        for prod, want in ((x1 * x1[:, :1], model.r1(t)),
-                           (x2 * x2[:, :1], model.r2(t)),
-                           (x1 * x2[:, :1], model.r12(t)),
-                           (x1[:, :1] * x2, model.r12(-t))):
-            se = prod.std(axis=0, ddof=1) / math.sqrt(len(prod))
-            worst = max(worst, float(np.max(np.abs(prod.mean(axis=0) - want) / se)))
-        assert worst < 4.5
+        assert _worst_lag_z(model, s, 5) < 4.5
+
+    @pytest.mark.parametrize("name", ["iid_bf", "regression03", "even_cross"])
+    def test_cut_embedding_is_exact_on_the_grid(self, name, request):
+        # T = 60, dt = 0.2: exp(-t^2/2) is 0.0 past t ~ 38.6, so the
+        # embedding covers n - 1 + h lags (L = 500 < 600).  The covariance
+        # that the spectral factors imply meets r1, r2, r12(t) and r12(-t)
+        # at every grid lag, and h is tight
+        model = _model(name, request)
+        grid = GridSpec.from_dt(60.0, 0.2)
+        n = grid.n
+        s = CirculantSampler(model, grid)
+        h = s._base - (n - 1)
+        assert h < n - 1 and s.L == pathgen.next_fast_len(n - 1 + h) == 500
+        lags = np.arange(n) * grid.dt
+        want = np.array([[model.r1(lags), model.r12(lags)],
+                         [model.r12(-lags), model.r2(lags)]])
+        assert np.any(want[..., h - 1] != 0.0) and np.all(want[..., h:] == 0.0)
+        k = np.arange(s.L // 2 + 1)
+        mult = np.where((k == 0) | (2 * k == s.L), 1.0, 2.0)
+        fac = np.eye(2)[:, :, None] * s._fac if s.independent else s._fac
+        spec = np.einsum("rck,sck->rsk", fac, fac.conj()) * mult / s.L
+        cov = np.fft.irfft(spec, n=s.L, axis=-1)[..., :n]
+        assert np.max(np.abs(cov - want)) <= 1e-14
 
     def test_normals_per_path_follow_kept_bins(self, iid_bf, ou_bf,
                                                regression03, monkeypatch):
@@ -254,9 +296,13 @@ class TestCirculant:
         from windlab.covmodel import make_alpha_process
         grid = GridSpec(T=(n - 1) * 0.05, n=n)
         alpha = CirculantSampler(make_alpha_process(1.2), grid)
+        ou = CirculantSampler(ou_bf, grid)
+        # neither model's covariance vanishes on the grid: the full
+        # embedding, also at T = 50, past Bargmann-Fock's support
+        for s in (alpha, ou):
+            assert s.L == pathgen.next_fast_len(2 * (n - 1) * s.pad)
         assert np.array_equal(alpha.sample_batch(4, [0, 5, 2]),
                               self._full_draw(alpha, 4, [0, 5, 2]))
-        ou = CirculantSampler(ou_bf, grid)
         assert ou.kept_bins[1] < ou.kept_bins[0] == ou.L // 2 + 1
         assert np.array_equal(ou.sample_batch(4, [0, 5, 2])[:, 0],
                               self._full_draw(ou, 4, [0, 5, 2])[:, 0])
@@ -271,20 +317,7 @@ class TestCirculant:
         s = CirculantSampler(model, grid)
         assert s.L // 2 + 1 == 1001 and max(s.kept_bins) <= 25
         assert s.truncated_mass <= 1e-13
-        n_rep, chunk = 20_000, 500
-        acc = np.zeros((2, 4, grid.n))  # sums and sums of squares
-        for a in range(0, n_rep, chunk):
-            x = s.sample_batch(11, range(a, a + chunk))
-            x1, x2 = x[:, 0], x[:, 1]
-            prods = np.stack([x1 * x1[:, :1], x2 * x2[:, :1],
-                              x1 * x2[:, :1], x1[:, :1] * x2], axis=1)
-            acc[0] += prods.sum(axis=0)
-            acc[1] += (prods ** 2).sum(axis=0)
-        mean = acc[0] / n_rep
-        se = np.sqrt((acc[1] / n_rep - mean ** 2) / (n_rep - 1))
-        t = grid.times()
-        want = np.stack([model.r1(t), model.r2(t), model.r12(t), model.r12(-t)])
-        assert float(np.max(np.abs(mean - want) / se)) < 4.5
+        assert _worst_lag_z(model, s, 11) < 4.5
 
     def test_meta_records_embedding(self, iid_bf):
         p = CirculantSampler(iid_bf, GridSpec(T=12.2, n=62)).sample(1)
