@@ -19,8 +19,8 @@ from .errors import (AliasingError, CapabilityError, ConfigError,
                      WindlabError)
 from .gauss import (ChaosCoefficients, ConditionalCov, QuadrantCorr,
                     chaos_coefficients, conditional_cov, generic_regression,
-                    hermite, joint_cov_matrix, orthant_angle, orthant_prob,
-                    quadrant_expectation, quadrant_expectation_series)
+                    joint_cov_matrix, orthant_angle, quadrant_expectation,
+                    quadrant_expectation_series)
 from .harness import (ExperimentConfig, run_clt, run_expectation,
                       run_lemma_check, run_smoothing, run_variance,
                       simulate_windings, write_report)
@@ -31,7 +31,6 @@ from .moments import (MomentReport, QuadratureSpec, chaos_projection_variances,
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec, SamplePath,
                       export_path_csv, load_path_csv, smooth_path)
 from .winding import (SmoothedWinding, WindingResult, count_windings,
-                      count_windings_arrays, count_windings_refined,
-                      smoothed_winding)
+                      count_windings_arrays, smoothed_winding)
 
 __version__ = "0.1.0"

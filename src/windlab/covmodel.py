@@ -45,7 +45,6 @@ __all__ = [
     "classify",
     "check_conditions",
     "model_from_spec",
-    "numeric_diff",
 ]
 
 _ZERO = lambda t: np.zeros_like(np.asarray(t, dtype=float))
@@ -167,27 +166,6 @@ def family_from_name(name: str, **params) -> CovFamily:
         raise ParameterError(f"unknown covariance family '{name}' "
                              f"(available: {sorted(_FAMILIES)})")
     return _FAMILIES[name](**params)
-
-
-def numeric_diff(f, t, order=1):
-    """Central difference with one Richardson step; returns (value, error).
-
-    The steps balance truncation against roundoff: 1e-5 for first
-    derivatives, 1e-4 for second (the second difference amplifies rounding
-    by 4 eps/h^2)."""
-    h = 1e-5 if order == 1 else 1e-4
-    t = float(t)
-
-    def d1(hh):
-        return (f(t + hh) - f(t - hh)) / (2.0 * hh)
-
-    def d2(hh):
-        return (f(t + hh) - 2.0 * f(t) + f(t - hh)) / hh ** 2
-
-    base = d1 if order == 1 else d2
-    coarse, fine = base(h), base(h / 2.0)
-    rich = (4.0 * fine - coarse) / 3.0
-    return rich, abs(rich - fine)
 
 
 # ----------------------------------------------------------------------

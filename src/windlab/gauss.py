@@ -1,5 +1,5 @@
-"""Exact Gaussian computations: Hermite polynomials, quadrant expectations
-of the form E[X1 X2 1{X3>0} 1{X4>0}], orthant probabilities, the conditional
+"""Exact Gaussian computations: quadrant expectations of the form
+E[X1 X2 1{X3>0} 1{X4>0}], the orthant angle, the conditional
 variance-covariance matrix of (X2'(0), X2'(t), X1(0), X1(t)) given two zeros
 of X2, and the Hermite coefficient tables of the winding-number expansion.
 
@@ -27,8 +27,6 @@ from .errors import (CapabilityError, DegenerateConditioningError, DomainError,
                      ParameterError, SingularityError)
 
 __all__ = [
-    "hermite",
-    "orthant_prob",
     "orthant_angle",
     "QuadrantCorr",
     "quadrant_closed",
@@ -45,7 +43,6 @@ __all__ = [
     "g_norm_sq",
 ]
 
-HERMITE_CAP = 200
 SQ2PI = math.sqrt(2.0 * math.pi)
 
 _PSD_TOL = -1e-12
@@ -56,42 +53,12 @@ _RHO34_GUARD = 1e-6
 
 
 # ----------------------------------------------------------------------
-# Hermite polynomials (probabilists')
+# orthant angle
 # ----------------------------------------------------------------------
-def hermite(n: int, x):
-    """H_n(x) by the three-term recurrence H_{n+1} = x H_n - n H_{n-1}."""
-    if n < 0 or int(n) != n:
-        raise ParameterError(f"hermite order must be a nonnegative integer, got {n}")
-    if n > HERMITE_CAP:
-        raise CapabilityError(f"hermite order {n} exceeds cap {HERMITE_CAP}")
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        out = np.ones_like(x)
-    elif n == 1:
-        out = x.copy()
-    else:
-        hm1, h = np.ones_like(x), x.copy()
-        for k in range(1, n):
-            hm1, h = h, x * h - k * hm1
-        out = h
-    return out if out.ndim else float(out)
-
-
-# ----------------------------------------------------------------------
-# orthant probability
-# ----------------------------------------------------------------------
-def orthant_prob(r: float) -> float:
-    """P{X(0) > 0, X(t) > 0} = 1/4 + arcsin(r)/(2 pi) for correlation r."""
-    if not -1.0 <= r <= 1.0:
-        raise DomainError(f"correlation must lie in [-1, 1], got {r}")
-    return 0.25 + math.asin(r) / (2.0 * math.pi)
-
-
 def orthant_angle(r):
-    """arccos(sqrt((1-r)/2)) = pi * orthant_prob(r): the same quantity in
-    angle units, elementwise on arrays.  This angle form is what the
-    variance formulas of moments consume; orthant_prob is its probability
-    form."""
+    """arccos(sqrt((1-r)/2)) = pi P{X(0) > 0, X(t) > 0} for correlation r,
+    elementwise on arrays: the orthant probability 1/4 + arcsin(r)/(2 pi)
+    in angle units, the form the variance formulas of moments consume."""
     r = np.asarray(r, float)
     bad = ~((-1.0 <= r) & (r <= 1.0))
     if bad.any():
@@ -321,16 +288,6 @@ class ChaosCoefficients:
     rho1: float
     rho2: float
     order: int
-
-    def partial_norm_sq(self, q: int) -> float:
-        """sum_{k2+k3 <= q} d^2 k2! k3! (nondecreasing in q, bounded by
-        ||g||^2 = 1/2)."""
-        tot = 0.0
-        for k2 in range(min(q, self.order) + 1):
-            f2 = math.factorial(k2)
-            for k3 in range(min(q - k2, self.order - k2) + 1):
-                tot += self.d[k2, k3] ** 2 * f2 * math.factorial(k3)
-        return tot
 
 
 def g_norm_sq(rho1: float) -> float:

@@ -51,6 +51,7 @@ __all__ = [
 
 SCHEMA = "windlab-report/1"
 _CHUNK_BYTES = 4 << 20  # finished paths held per _map_paths chunk
+_SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
 # diagram-series order of the closed-form oracle: the order-80 remainder
 # reaches ~7.5e-9 at |rho34| = 0.9, above the 1e-10 gate; order 160 is
 # below 1e-15 there
@@ -167,11 +168,14 @@ class ExperimentConfig:
 # simulation engine
 # ----------------------------------------------------------------------
 def _make_sampler(model, grid, backend):
-    if backend == "circulant":
-        return CirculantSampler(model, grid)
-    if backend == "cholesky":
-        return CholeskySampler(model, grid)
-    raise ConfigError(f"unknown backend '{backend}'")
+    if backend not in _SAMPLERS:
+        raise ConfigError(f"unknown backend '{backend}'")
+    return _SAMPLERS[backend](model, grid)
+
+
+def _check_grid(cfg):
+    """Refuse an oversized grid before any theory or path is computed."""
+    _SAMPLERS[cfg.backend].check_grid(GridSpec.from_dt(cfg.t_ladder[-1], cfg.dt))
 
 
 def _map_paths(sampler, seed, reps, workers, fn):
@@ -258,6 +262,7 @@ def lattice_ks(counts, mean, sd):
 # ----------------------------------------------------------------------
 def run_expectation(cfg: ExperimentConfig) -> dict:
     """MC mean of N_W vs T * expectation_rate, pass at 3 standard errors."""
+    _check_grid(cfg)
     model = cfg.build_model()
     rate = expectation_rate(model)
     paths_dir = _paths_dir(cfg)
@@ -294,6 +299,7 @@ def run_variance(cfg: ExperimentConfig) -> dict:
     """Sample Var(N_W)/T with a bootstrap CI against the finite-horizon
     rate V_T (what a T-window sample estimates), plus the horizon
     convergence trend; independent models also report V_inf."""
+    _check_grid(cfg)
     model = cfg.build_model()
     independent = classify(model) in (ModelClass.INDEPENDENT, ModelClass.IID)
     indep_extras = {}
@@ -345,6 +351,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
     Normal(0, V_inf), with skewness/kurtosis moments."""
     from scipy import stats  # deferred, as in lattice_ks
 
+    _check_grid(cfg)
     model = cfg.build_model()
     rate = expectation_rate(model)
     independent = classify(model) in (ModelClass.INDEPENDENT, ModelClass.IID)
@@ -586,6 +593,7 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
 def run_smoothing(cfg: ExperimentConfig) -> dict:
     """Winding of smoothed rough paths: stabilization statistics and the
     per-epsilon variance rates against the two-alpha bound."""
+    _check_grid(cfg)
     model = cfg.build_model()
     if model.x2_differentiable:
         raise ConfigError("smoothing experiment expects a non-differentiable model")

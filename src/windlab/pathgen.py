@@ -19,7 +19,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 # numpy imports these subpackages on first use; they load with the module
@@ -43,7 +42,6 @@ __all__ = [
     "model_spec_hash",
 ]
 
-CHOLESKY_N_CAP = 4096
 _EIG_TOL = -1e-10
 _CLIP_WARN = 1e-8
 _BAND_TOL = 1e-13  # circulant weight share a noise channel may leave undrawn
@@ -73,6 +71,8 @@ class GridSpec:
 
     @classmethod
     def from_dt(cls, T: float, dt: float) -> "GridSpec":
+        if not math.isfinite(T / dt):
+            raise ParameterError(f"T = {T:g} at dt = {dt:g} overflows the step count")
         return cls(T=T, n=int(round(T / dt)) + 1)
 
 
@@ -132,17 +132,12 @@ class _Sampler:
 
     backend = "?"
 
-    @cached_property
-    def _fine(self) -> "_Sampler":
-        return type(self)(self.model, GridSpec(T=self.grid.T, n=2 * self.grid.n - 1))
-
-    def sample_refined(self, seed: int, stream: int = 0):
-        """(coarse, fine): the path on the dyadic refinement of the grid
-        (2n - 1 points) and its restriction to every second point, so the
-        nested pair shares its randomness exactly."""
-        fine = self._fine.sample(seed, stream)
-        return replace(fine, grid=self.grid, x1=fine.x1[::2], x2=fine.x2[::2],
-                       meta={**fine.meta, "restricted": True}), fine
+    @classmethod
+    def check_grid(cls, grid: GridSpec) -> None:
+        """Refuse a grid above the backend's n_cap points, allocating nothing."""
+        if grid.n > cls.n_cap:
+            raise ParameterError(f"{cls.backend} backend capped at "
+                                 f"n = {cls.n_cap} points, got {grid.n}")
 
     def sample(self, seed: int, stream: int = 0) -> SamplePath:
         x1, x2 = self.sample_batch(seed, [stream])[0]
@@ -164,11 +159,10 @@ class CholeskySampler(_Sampler):
     """
 
     backend = "cholesky"
+    n_cap = 4096
 
     def __init__(self, model: CovarianceModel, grid: GridSpec):
-        if grid.n > CHOLESKY_N_CAP:
-            raise ParameterError(
-                f"cholesky backend capped at n = {CHOLESKY_N_CAP} points, got {grid.n}")
+        self.check_grid(grid)
         self.model = model
         self.grid = grid
         t = grid.times()
@@ -225,8 +219,12 @@ class CirculantSampler(_Sampler):
     so rough (alpha, OU) coordinates see the full stream."""
 
     backend = "circulant"
+    # a build plus one path of a regression model at the cap peaks at
+    # 0.6-1.1 GiB, growing with the embedding length (README)
+    n_cap = 2 ** 22 + 1
 
     def __init__(self, model: CovarianceModel, grid: GridSpec):
+        self.check_grid(grid)
         self.model = model
         self.grid = grid
         self.independent = classify(model) in (ModelClass.INDEPENDENT, ModelClass.IID)

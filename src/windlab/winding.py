@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "WindingResult",
     "count_windings",
     "count_windings_arrays",
-    "count_windings_refined",
     "SmoothedWinding",
     "smoothed_winding",
 ]
@@ -48,7 +47,6 @@ class WindingResult:
     n_w: int
     delta_arg: float
     agreement: bool
-    refinement_stable: Optional[bool] = None
 
 
 def count_windings_arrays(x1: np.ndarray, x2: np.ndarray) -> WindingResult:
@@ -110,15 +108,6 @@ def count_windings_arrays(x1: np.ndarray, x2: np.ndarray) -> WindingResult:
 
 def count_windings(path: SamplePath) -> WindingResult:
     return count_windings_arrays(path.x1, path.x2)
-
-
-def count_windings_refined(sampler, seed: int, stream: int = 0) -> WindingResult:
-    """Count at dt and dt/2 on nested grids driven by the same randomness
-    (the sampler's ``sample_refined``); refinement_stable records whether
-    n_w survived the refinement.  The finer-grid result is returned."""
-    coarse, fine = sampler.sample_refined(seed, stream)
-    rf = count_windings(fine)
-    return replace(rf, refinement_stable=(count_windings(coarse).n_w == rf.n_w))
 
 
 @dataclass(frozen=True)

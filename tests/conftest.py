@@ -31,3 +31,24 @@ def gauss_hermite_2d(func, rho, n=120):
     yy = rho * xx + np.sqrt(1.0 - rho * rho) * zz
     vals = func(np.broadcast_to(xx, (n, n)), yy)
     return float(np.einsum("i,j,ij->", w, w, vals))
+
+
+def numeric_diff(f, t, order=1):
+    """Central difference with one Richardson step; returns (value, error).
+
+    The steps balance truncation against roundoff: 1e-5 for first
+    derivatives, 1e-4 for second (the second difference amplifies rounding
+    by 4 eps/h^2)."""
+    h = 1e-5 if order == 1 else 1e-4
+    t = float(t)
+
+    def d1(hh):
+        return (f(t + hh) - f(t - hh)) / (2.0 * hh)
+
+    def d2(hh):
+        return (f(t + hh) - 2.0 * f(t) + f(t - hh)) / hh ** 2
+
+    base = d1 if order == 1 else d2
+    coarse, fine = base(h), base(h / 2.0)
+    rich = (4.0 * fine - coarse) / 3.0
+    return rich, abs(rich - fine)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import numeric_diff
 from windlab.covmodel import (CovFamily, ModelClass, alpha_family,
                               bargmann_fock, check_conditions, classify,
                               family_from_name, make_alpha_process,
                               make_iid_model, make_independent_model,
                               make_regression_model, model_from_spec,
-                              numeric_diff, ornstein_uhlenbeck)
+                              ornstein_uhlenbeck)
 from windlab.errors import CapabilityError, ParameterError
 from windlab.quadrature import adaptive_quad
 

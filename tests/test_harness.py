@@ -478,6 +478,10 @@ class TestCli:
         ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [math.nan]}, [], "finite"),
         ("smooth", {"model": TWO_ALPHA, "epsilon_ladder": [0.4, math.inf]}, [],
          "finite"),
+        # a grid above the circulant point cap, refused before any array
+        ("simulate", {"t_ladder": [1e12], "dt": 0.01}, [], "capped"),
+        ("simulate", {"t_ladder": [1e300], "dt": 0.01}, [], "capped"),
+        ("simulate", {"t_ladder": [1e308], "dt": 0.001}, [], "overflows"),
     ])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys,
                                 command, fields, flags, message):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from conftest import numeric_diff
 from windlab.covmodel import (alpha_family, bargmann_fock, make_alpha_process,
                               make_independent_model, make_regression_model,
                               ornstein_uhlenbeck)
@@ -44,7 +45,6 @@ class TestExpectation:
         assert expectation_rate(regression03) == pytest.approx(0.3 / TWO_PI, rel=1e-14)
 
     def test_rate_matches_numeric_derivative_of_stored_r12(self, regression03):
-        from windlab.covmodel import numeric_diff
         d0, _ = numeric_diff(regression03.r12, 0.0, order=1)
         assert expectation_rate(regression03) == pytest.approx(-d0 / TWO_PI, abs=1e-9)
         assert math.isfinite(10.0 * expectation_rate(regression03))
@@ -203,9 +203,10 @@ class TestVarianceGeneral:
         from windlab.moments import _ec_bracket
         bracket = _ec_bracket(iid_bf, 0.0)
         from windlab.moments import _minus_f_prime
-        from windlab.gauss import orthant_prob
         for t in (0.5, 1.0, 2.0):
-            expect = TWO_PI * _minus_f_prime(iid_bf, t) * orthant_prob(float(iid_bf.r1(t)))
+            # the orthant probability 1/4 + arcsin(r1)/(2 pi)
+            orthant = 0.25 + math.asin(float(iid_bf.r1(t))) / TWO_PI
+            expect = TWO_PI * _minus_f_prime(iid_bf, t) * orthant
             assert bracket(t) == pytest.approx(expect, rel=1e-10)
 
     def test_rough_x2_rejected(self, ou_bf):

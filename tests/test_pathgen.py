@@ -96,17 +96,6 @@ class TestCholesky:
         est, se = float(prod.mean()), float(prod.std() / math.sqrt(len(prod)))
         assert abs(est - math.exp(-0.5)) <= 3.0 * se
 
-    @pytest.mark.parametrize("make", [CholeskySampler, CirculantSampler],
-                             ids=["cholesky", "circulant"])
-    def test_refined_keeps_coarse_points(self, iid_bf, make):
-        s = make(iid_bf, GridSpec.from_dt(2.0, 0.1))
-        coarse, fine = s.sample_refined(11, 0)
-        assert fine.grid.n == 2 * coarse.grid.n - 1
-        assert np.array_equal(fine.x2[::2], coarse.x2)
-        assert np.array_equal(fine.x1[::2], coarse.x1)
-        assert coarse.grid.dt == pytest.approx(2 * fine.grid.dt)
-        assert fine.backend == coarse.backend == s.backend
-
 
 class TestSpectral:
     """The regression construction by dense harmonic synthesis written
@@ -326,6 +315,17 @@ class TestCirculant:
         assert p.meta["kept_bins"] == list(CirculantSampler(
             iid_bf, p.grid).kept_bins)
         assert 0.0 < p.meta["truncated_mass"] <= 1e-13
+
+    def test_point_cap_refused_before_allocation(self, iid_bf, monkeypatch):
+        # np.arange is the build's first allocation: above the cap it must
+        # not run, at one past the cap or at 1e302 points
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the build allocated above the point cap")
+
+        monkeypatch.setattr(pathgen.np, "arange", no_allocation)
+        for n in (CirculantSampler.n_cap + 1, 10 ** 302 + 1):
+            with pytest.raises(ParameterError, match="capped"):
+                CirculantSampler(iid_bf, GridSpec(T=0.01 * (n - 1), n=n))
 
     def test_perf_scaling(self, iid_bf):
         # n log n growth: quadrupling n must not blow up the cost

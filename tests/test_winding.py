@@ -9,7 +9,7 @@ from windlab.errors import AliasingError, ParameterError, ResolutionError
 from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
                              SamplePath, export_path_csv, load_path_csv)
 from windlab.winding import (count_windings, count_windings_arrays,
-                             count_windings_refined, smoothed_winding)
+                             smoothed_winding)
 
 
 def circle_path(turns, T, dt, orientation=1):
@@ -111,28 +111,33 @@ class TestGuards:
         assert r.n_down == 1 and r.n_up == 0 and r.n_w == -1
 
 
+def refinement_stable(make, model, grid, seed, streams):
+    """Per stream, whether n_w survives halving dt: the path is drawn on the
+    dyadic refinement of ``grid`` (2n - 1 points) and counted there and on
+    its restriction to every second point, which is ``grid`` itself."""
+    fine = make(model, GridSpec(T=grid.T, n=2 * grid.n - 1))
+    return [count_windings_arrays(x1, x2).n_w
+            == count_windings_arrays(x1[::2], x2[::2]).n_w
+            for x1, x2 in fine.sample_batch(seed, list(streams))]
+
+
 class TestRefinedCounting:
     def test_stability_rate(self, iid_bf):
-        s = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 0.01))
-        stable = []
-        for k in range(250):
-            r = count_windings_refined(s, seed=5, stream=k)
-            stable.append(r.refinement_stable)
+        stable = refinement_stable(CirculantSampler, iid_bf,
+                                   GridSpec.from_dt(20.0, 0.01), 5, range(250))
         assert np.mean(stable) > 0.98
 
     def test_coarse_grid_less_stable(self, iid_bf):
-        s_fine = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 0.01))
-        s_coarse = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 1.0))
-        fine, coarse = [], []
-        for k in range(120):
-            fine.append(count_windings_refined(s_fine, 6, k).refinement_stable)
-            coarse.append(count_windings_refined(s_coarse, 6, k).refinement_stable)
+        fine = refinement_stable(CirculantSampler, iid_bf,
+                                 GridSpec.from_dt(20.0, 0.01), 6, range(120))
+        coarse = refinement_stable(CirculantSampler, iid_bf,
+                                   GridSpec.from_dt(20.0, 1.0), 6, range(120))
         assert np.mean(coarse) < np.mean(fine) - 0.1
 
     def test_cholesky_backend(self, iid_bf):
-        s = CholeskySampler(iid_bf, GridSpec.from_dt(5.0, 0.05))
-        r = count_windings_refined(s, seed=3, stream=1)
-        assert r.refinement_stable in (True, False)
+        (stable,) = refinement_stable(CholeskySampler, iid_bf,
+                                      GridSpec.from_dt(5.0, 0.05), 3, [1])
+        assert stable in (True, False)
 
 
 class TestSmoothedWinding:
@@ -253,7 +258,7 @@ def _assert_same_as_reference(x1, x2):
         assert got == ref
         return
     assert not isinstance(got, tuple), got
-    for f in ("n_up", "n_down", "n_w", "agreement", "refinement_stable"):
+    for f in ("n_up", "n_down", "n_w", "agreement"):
         assert getattr(got, f) == getattr(ref, f), f
     assert (got.delta_arg == ref.delta_arg
             or (math.isnan(got.delta_arg) and math.isnan(ref.delta_arg)))
