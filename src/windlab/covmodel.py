@@ -80,19 +80,28 @@ class CovFamily:
 
 
 def bargmann_fock() -> CovFamily:
-    """r(t) = exp(-t^2/2); analytic, -r''(0) = 1."""
-    e = lambda t: np.exp(-np.asarray(t, float) ** 2 / 2.0)
+    """r(t) = exp(-t^2/2); analytic, -r''(0) = 1.
+
+    Arguments are clipped to [-40, 40]: exp(-t^2/2) is already 0.0 past
+    |t| ~ 38.6, so no finite value changes, and t^2 or t^4 cannot
+    overflow into inf * 0 = NaN at huge lags."""
+    def clipped(fn):
+        # the outer asarray keeps a 0-d argument an array: t ** 2 on a
+        # numpy scalar can differ from the array's in the last bit
+        return lambda t: fn(np.asarray(np.asarray(t, float).clip(-40.0, 40.0)))
+
+    e = lambda t: np.exp(-t ** 2 / 2.0)
     return CovFamily(
         name="bargmann_fock",
-        r=e,
-        d_r=lambda t: -np.asarray(t, float) * e(t),
-        dd_r=lambda t: (np.asarray(t, float) ** 2 - 1.0) * e(t),
-        d3_r=lambda t: np.asarray(t, float) * (3.0 - np.asarray(t, float) ** 2) * e(t),
-        d4_r=lambda t: (np.asarray(t, float) ** 4 - 6.0 * np.asarray(t, float) ** 2 + 3.0) * e(t),
-        f=lambda lam: np.sqrt(2.0 / np.pi) * np.exp(-np.asarray(lam, float) ** 2 / 2.0),
+        r=clipped(e),
+        d_r=clipped(lambda t: -t * e(t)),
+        dd_r=clipped(lambda t: (t ** 2 - 1.0) * e(t)),
+        d3_r=clipped(lambda t: t * (3.0 - t ** 2) * e(t)),
+        d4_r=clipped(lambda t: (t ** 4 - 6.0 * t ** 2 + 3.0) * e(t)),
+        f=clipped(lambda lam: np.sqrt(2.0 / np.pi) * e(lam)),
         differentiable=True,
         lambda2=1.0,
-        one_minus_r_sq=lambda t: -np.expm1(-np.asarray(t, float) ** 2),
+        one_minus_r_sq=clipped(lambda t: -np.expm1(-t ** 2)),
     )
 
 

@@ -7,7 +7,11 @@ count and execution order; reports serialize byte-identically for a fixed
 config (timestamps live in a separate metadata sidecar).
 
 Paths come from the circulant-embedding sampler; ``backend = "cholesky"``
-selects the exact small-n oracle instead.
+selects the exact small-n oracle instead.  A run builds one sampler on
+the grid of its longest horizon and draws each stream once: every
+horizon of ``t_ladder`` is counted on a prefix of the same paths, so the
+rows of a multi-horizon report are correlated and all carry the longest
+horizon's sampler diagnostics.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -80,7 +84,7 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     KINDS = ("expectation", "variance", "clt", "lemma_check", "smoothing")
-    BACKENDS = ("circulant", "cholesky")
+    BACKENDS = tuple(_SAMPLERS)
     # the integer fields and their least values
     INT_FIELDS = {"replications": 1, "seed": 0, "workers": 1,
                   "lemma_mc_samples": 2, "lemma_random_sets": 0,
@@ -123,12 +127,6 @@ class ExperimentConfig:
             raise ConfigError(f"every T in t_ladder must be positive, got {self.t_ladder}")
         if list(self.t_ladder) != sorted(set(self.t_ladder)):
             raise ConfigError("t_ladder must be strictly increasing")
-        if self.kind == "clt" and self.replications < 2:
-            raise ConfigError("a clt run needs replications >= 2 for its "
-                              f"sample variance and moments, got {self.replications}")
-        if self.kind == "smoothing" and len(self.t_ladder) > 1:
-            raise ConfigError("a smoothing run has one horizon: t_ladder must "
-                              f"hold a single T, got {self.t_ladder}")
         if eps is not None and (min(eps) <= 0
                                 or any(b >= a for a, b in zip(eps, eps[1:]))):
             raise ConfigError("epsilon_ladder must be positive and strictly "
@@ -206,18 +204,53 @@ def _map_paths(sampler, seed, reps, workers, fn):
 def simulate_windings(model, T, dt, backend, seed, reps, workers=1):
     """Winding counts for ``reps`` replications.
 
+    T is a horizon or a strictly increasing sequence of them.  One sampler
+    is built on the last horizon's grid and each stream is drawn once; the
+    count at horizon T is count_windings_arrays on the path's first
+    GridSpec.from_dt(T, dt).n points, so each prefix gets its own zero
+    threshold and its own aliasing rejection.  A prefix is a path on
+    [0, T] with the same law, but the horizons share their streams.
+
     Returns a dict with the per-replication signed counts (NaN where the
-    aliasing guard rejected the path), agreement flags, and bookkeeping.
+    aliasing guard rejected the prefix), agreement flags, and bookkeeping:
+    ``n_w``, ``accepted`` and ``agreement`` have one column per horizon
+    and ``n_rejected`` one entry (1-d and an int for a scalar T).
     """
-    sampler = _make_sampler(model, GridSpec.from_dt(T, dt), backend)
-    res = _map_paths(sampler, seed, reps, workers, count_windings_arrays)
-    n_w = np.array([np.nan if r is None else r.n_w for r in res], dtype=float)
-    agree = np.array([r is not None and r.agreement for r in res], dtype=bool)
+    horizons = np.atleast_1d(np.asarray(T, float))
+    if not (horizons.ndim == 1 and horizons.size and (np.diff(horizons) > 0).all()):
+        raise ParameterError("T must be a horizon or a strictly increasing "
+                             f"sequence of them, got {T}")
+    ends = [GridSpec.from_dt(float(t), dt).n for t in horizons]
+    sampler = _make_sampler(model, GridSpec.from_dt(float(horizons[-1]), dt), backend)
+
+    def count_prefixes(x1, x2):
+        out = []
+        for n in ends:
+            try:
+                out.append(count_windings_arrays(x1[:n], x2[:n]))
+            except AliasingError:
+                out.append(None)
+        return out
+
+    res = _map_paths(sampler, seed, reps, workers, count_prefixes)
+    n_w = np.array([[np.nan if r is None else r.n_w for r in row] for row in res],
+                   dtype=float).reshape(reps, len(ends))
+    agree = np.array([[r is not None and r.agreement for r in row] for row in res],
+                     dtype=bool).reshape(reps, len(ends))
     ok = ~np.isnan(n_w)
+    n_rejected = np.count_nonzero(~ok, axis=0).tolist()
+    if np.ndim(T) == 0:
+        n_w, ok, agree, n_rejected = n_w[:, 0], ok[:, 0], agree[:, 0], n_rejected[0]
     return {
         "n_w": n_w, "accepted": ok, "agreement": agree,
-        "n_rejected": int(np.count_nonzero(~ok)), "sampler": sampler,
+        "n_rejected": n_rejected, "sampler": sampler,
     }
+
+
+def _prefix(path: SamplePath, n: int) -> SamplePath:
+    """The first n points of a sampled path, on its grid's step."""
+    grid = path.grid if n == path.grid.n else GridSpec((n - 1) * path.grid.dt, n)
+    return replace(path, grid=grid, x1=path.x1[:n], x2=path.x2[:n])
 
 
 def _mean_se(x):
@@ -266,16 +299,16 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
     model = cfg.build_model()
     rate = expectation_rate(model)
     paths_dir = _paths_dir(cfg)
+    sim = simulate_windings(model, cfg.t_ladder, cfg.dt, cfg.backend, cfg.seed,
+                            cfg.replications, cfg.workers)
     rows = []
-    for T in cfg.t_ladder:
-        sim = simulate_windings(model, T, cfg.dt, cfg.backend, cfg.seed,
-                                cfg.replications, cfg.workers)
-        vals = sim["n_w"][sim["accepted"]]
+    for j, T in enumerate(cfg.t_ladder):
+        vals = sim["n_w"][:, j][sim["accepted"][:, j]]
         mean, se = _mean_se(vals)
         theory = T * rate
         row = {
             "T": T, "replications": cfg.replications,
-            "n_rejected": sim["n_rejected"],
+            "n_rejected": sim["n_rejected"][j],
             "mc_mean": mean, "mc_se": se, "theory_mean": theory,
             **sim["sampler"].diagnostics,
         }
@@ -285,11 +318,13 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
         else:
             row["pass"] = bool(abs(mean - theory) <= 3.0 * se) if se > 0 else bool(mean == theory)
         rows.append(row)
-        # the first export_paths streams, drawn again by sampler.sample
-        # (the same paths the run counted)
-        if paths_dir:
-            for s in range(min(cfg.export_paths, cfg.replications)):
-                export_path_csv(sim["sampler"].sample(cfg.seed, s),
+    # the first export_paths streams, drawn again by sampler.sample (the
+    # same paths the run counted), written as each horizon's prefix
+    if paths_dir:
+        for s in range(min(cfg.export_paths, cfg.replications)):
+            path = sim["sampler"].sample(cfg.seed, s)
+            for T in cfg.t_ladder:
+                export_path_csv(_prefix(path, GridSpec.from_dt(T, cfg.dt).n),
                                 os.path.join(paths_dir, f"path_T{T:g}_{s:05d}.csv"))
     ok = all(r["pass"] is not False for r in rows)
     return _report("expectation", cfg, {"expectation_rate": rate, "rows": rows}, ok)
@@ -310,11 +345,12 @@ def run_variance(cfg: ExperimentConfig) -> dict:
     # the theory of every horizon in one call before the first path, so
     # that a model it cannot handle exits before the simulation
     general = variance_rate_general(model, cfg.t_ladder)
+    sim = simulate_windings(model, cfg.t_ladder, cfg.dt, cfg.backend, cfg.seed,
+                            cfg.replications, cfg.workers)
     rows = []
-    for T, v_t, v_t_err in zip(cfg.t_ladder, general.v_t, general.v_t_err):
-        sim = simulate_windings(model, T, cfg.dt, cfg.backend, cfg.seed,
-                                cfg.replications, cfg.workers)
-        vals = sim["n_w"][sim["accepted"]]
+    for j, (T, v_t, v_t_err) in enumerate(zip(cfg.t_ladder, general.v_t,
+                                              general.v_t_err)):
+        vals = sim["n_w"][:, j][sim["accepted"][:, j]]
         var_rate = float(np.var(vals, ddof=1)) / T if len(vals) > 1 else None
         lo, hi = (None, None)
         if var_rate is not None:
@@ -322,7 +358,7 @@ def run_variance(cfg: ExperimentConfig) -> dict:
             lo, hi = lo / T, hi / T
         row = {
             "T": T, "replications": cfg.replications,
-            "n_rejected": sim["n_rejected"],
+            "n_rejected": sim["n_rejected"][j],
             "var_rate": var_rate, "ci99_lo": lo, "ci99_hi": hi,
             "v_T_general": v_t, "v_T_general_err": v_t_err,
             "reference": v_t, **sim["sampler"].diagnostics,
@@ -351,6 +387,9 @@ def run_clt(cfg: ExperimentConfig) -> dict:
     Normal(0, V_inf), with skewness/kurtosis moments."""
     from scipy import stats  # deferred, as in lattice_ks
 
+    if cfg.replications < 2:
+        raise ConfigError("a clt run needs replications >= 2 for its "
+                          f"sample variance and moments, got {cfg.replications}")
     _check_grid(cfg)
     model = cfg.build_model()
     rate = expectation_rate(model)
@@ -367,11 +406,11 @@ def run_clt(cfg: ExperimentConfig) -> dict:
             standardized_by = "general-case integral V_inf"
     except WindlabError:
         pass
+    sim = simulate_windings(model, cfg.t_ladder, cfg.dt, cfg.backend, cfg.seed,
+                            cfg.replications, cfg.workers)
     per_t = []
-    for T in cfg.t_ladder:
-        sim = simulate_windings(model, T, cfg.dt, cfg.backend, cfg.seed,
-                                cfg.replications, cfg.workers)
-        vals = sim["n_w"][sim["accepted"]]
+    for j, T in enumerate(cfg.t_ladder):
+        vals = sim["n_w"][:, j][sim["accepted"][:, j]]
         std_sample = (vals - T * rate) / math.sqrt(T)
         scale = math.sqrt(v_inf) if v_inf else float(np.std(std_sample, ddof=1))
         # lattice-edge KS on the raw counts == KS of the standardized
@@ -389,7 +428,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
             "kurtosis": kurt, "kurtosis_se": math.sqrt(24.0 / m),
             "standardized_sample": [float(v) for v in std_sample],
             "small_t_regime": bool(T < 20.0),
-            "n_rejected": sim["n_rejected"],
+            "n_rejected": sim["n_rejected"][j],
             **sim["sampler"].diagnostics,
         })
     # no pass criterion in the pre-asymptotic regime
@@ -593,6 +632,9 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
 def run_smoothing(cfg: ExperimentConfig) -> dict:
     """Winding of smoothed rough paths: stabilization statistics and the
     per-epsilon variance rates against the two-alpha bound."""
+    if len(cfg.t_ladder) > 1:
+        raise ConfigError("a smoothing run has one horizon: t_ladder must "
+                          f"hold a single T, got {cfg.t_ladder}")
     _check_grid(cfg)
     model = cfg.build_model()
     if model.x2_differentiable:
@@ -600,7 +642,7 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     if not cfg.epsilon_ladder:
         raise ConfigError("smoothing experiment needs epsilon_ladder")
     eps = [float(e) for e in cfg.epsilon_ladder]
-    (T,) = cfg.t_ladder  # one horizon, checked at load
+    (T,) = cfg.t_ladder
     grid = GridSpec.from_dt(T, cfg.dt)
     for e in eps:  # an unresolvable ladder exits before the costly bound
         kernel_half_width(grid, e)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,47 @@ def test_normalization_and_evenness():
         vals = np.asarray(fam.r(lags))
         assert np.max(np.abs(vals)) <= 1.0
         assert np.array_equal(vals, np.asarray(fam.r(-lags)))
+
+
+BF_FIELDS = ("r", "d_r", "dd_r", "d3_r", "d4_r", "f", "one_minus_r_sq")
+
+
+def test_bargmann_fock_is_zero_at_huge_lags():
+    # t^2 and t^4 overflow to inf past |t| ~ 1.3e154 and 1e77; the family
+    # clips its argument, so no inf * 0 = NaN and no overflow warning
+    fam = bargmann_fock()
+    lags = np.array([1e155, -1e155, 1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for name in BF_FIELDS:
+            vals = np.asarray(getattr(fam, name)(lags))
+            assert np.all(vals == (1.0 if name == "one_minus_r_sq" else 0.0)), name
+
+
+def test_bargmann_fock_unchanged_up_to_the_clip():
+    # the unclipped closed forms, bitwise and with the sign of zero, on
+    # |t| <= 40: on arrays, and on floats through the 0-d array route
+    def closed_forms(t):
+        e = np.exp(-t ** 2 / 2.0)
+        return {"r": e, "d_r": -t * e, "dd_r": (t ** 2 - 1.0) * e,
+                "d3_r": t * (3.0 - t ** 2) * e,
+                "d4_r": (t ** 4 - 6.0 * t ** 2 + 3.0) * e,
+                "f": np.sqrt(2.0 / np.pi) * np.exp(-t ** 2 / 2.0),
+                "one_minus_r_sq": -np.expm1(-t ** 2)}
+
+    fam = bargmann_fock()
+    t = np.concatenate([np.linspace(-40.0, 40.0, 4001), [38.6, 39.0, -40.0, 40.0],
+                        np.random.default_rng(0).normal(0.0, 5.0, 2000)])
+    ref = closed_forms(t)
+    for name in BF_FIELDS:
+        vals = np.asarray(getattr(fam, name)(t))
+        assert np.array_equal(vals, ref[name]), name
+        assert np.array_equal(np.signbit(vals), np.signbit(ref[name])), name
+    for x in t[::7].tolist():
+        ref = closed_forms(np.asarray(x))
+        for name in BF_FIELDS:
+            val = getattr(fam, name)(x)
+            assert val == ref[name] and np.signbit(val) == np.signbit(ref[name]), (name, x)
 
 
 def test_analytic_derivatives_match_finite_differences():

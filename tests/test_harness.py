@@ -83,6 +83,95 @@ class TestDeterminism:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestHorizonLadder:
+    """One sampler on the longest horizon; each horizon counts a prefix."""
+
+    @pytest.mark.parametrize("backend, ladder, dt", [
+        ("circulant", [5.0, 12.5, 20.0], 0.02),
+        ("cholesky", [2.0, 5.5, 10.0], 0.05),
+    ])
+    def test_columns_count_the_prefixes(self, backend, ladder, dt):
+        from windlab.covmodel import model_from_spec
+        from windlab.errors import AliasingError
+        from windlab.pathgen import GridSpec
+        from windlab.winding import count_windings_arrays
+        model = model_from_spec(IID_BF)
+        sim = simulate_windings(model, ladder, dt, backend, 5, 40)
+        sampler = harness._SAMPLERS[backend](model, GridSpec.from_dt(ladder[-1], dt))
+        paths = sampler.sample_batch(5, range(40))
+        assert sim["n_w"].shape == sim["accepted"].shape == (40, 3)
+        for j, T in enumerate(ladder):
+            n = GridSpec.from_dt(T, dt).n
+            want = []
+            for x1, x2 in paths:
+                try:
+                    want.append(count_windings_arrays(x1[:n], x2[:n]).n_w)
+                except AliasingError:
+                    want.append(np.nan)
+            assert np.array_equal(sim["n_w"][:, j], want, equal_nan=True)
+            assert np.array_equal(sim["accepted"][:, j], ~np.isnan(want))
+        assert sim["n_rejected"] == np.count_nonzero(~sim["accepted"], axis=0).tolist()
+
+    def test_last_column_is_the_single_horizon_run(self):
+        from windlab.covmodel import model_from_spec
+        model = model_from_spec(IID_BF)
+        ladder = simulate_windings(model, [5.0, 10.0, 20.0], 0.02, "circulant", 5, 60)
+        single = simulate_windings(model, 20.0, 0.02, "circulant", 5, 60)
+        assert single["n_w"].shape == (60,)
+        assert isinstance(single["n_rejected"], int)
+        for key in ("n_w", "accepted", "agreement"):
+            assert np.array_equal(ladder[key][:, -1], single[key], equal_nan=True)
+        assert ladder["n_rejected"][-1] == single["n_rejected"]
+        assert ladder["sampler"].diagnostics == single["sampler"].diagnostics
+
+    def test_each_prefix_has_its_own_zero_threshold(self, monkeypatch):
+        # x2 dips to -1e-14 inside the first horizon, where max|x2| = 1
+        # zeroes only |x2| <= 8 eps; the later -1000 would zero the dip
+        # too (8 eps * 1000 > 1e-14) and erase the down-crossing
+        from windlab.pathgen import GridSpec
+        from windlab.winding import count_windings_arrays
+        x1 = np.ones(5)
+        x2 = np.array([1.0, 1.0, -1e-14, 1.0, -1000.0])
+
+        class FixedPath:
+            def __init__(self, model, grid):
+                self.grid, self.diagnostics = grid, {}
+
+            def sample_batch(self, seed, streams):
+                return np.array([(x1, x2)] * len(streams))
+
+        monkeypatch.setitem(harness._SAMPLERS, "fixed", FixedPath)
+        sim = simulate_windings(None, [2.0, 4.0], 1.0, "fixed", 0, 1)
+        assert GridSpec.from_dt(2.0, 1.0).n == 3
+        assert sim["n_w"][0, 0] == count_windings_arrays(x1[:3], x2[:3]).n_w == -1
+        zeroed = np.where(np.abs(x2) <= 8 * np.finfo(float).eps * 1000.0, 0.0, x2)
+        assert count_windings_arrays(x1[:3], zeroed[:3]).n_w == 0
+        assert sim["n_w"][0, 1] == count_windings_arrays(x1, x2).n_w
+
+    def test_multi_horizon_run_builds_one_sampler(self, monkeypatch):
+        from windlab.pathgen import CirculantSampler
+        builds = []
+        init = CirculantSampler.__init__
+
+        def counted(self, model, grid):
+            builds.append(grid.n)
+            init(self, model, grid)
+
+        monkeypatch.setattr(CirculantSampler, "__init__", counted)
+        rep = run_variance(small_cfg(kind="variance", t_ladder=[5.0, 10.0, 20.0],
+                                     replications=30))
+        assert builds == [1001]
+        # every row carries the one T = 20 sampler's diagnostics
+        rows = rep["result"]["rows"]
+        assert {r["embedding_length"] for r in rows} == {rows[-1]["embedding_length"]}
+
+    def test_a_ladder_is_strictly_increasing(self):
+        from windlab.errors import ParameterError
+        for ladder in ([], [10.0, 5.0], [5.0, 5.0], [[5.0]]):
+            with pytest.raises(ParameterError, match="strictly increasing"):
+                simulate_windings(None, ladder, 0.02, "circulant", 5, 3)
+
+
 class TestSamplerDiagnostics:
     def test_rows_record_circulant_embedding(self):
         # T = 20, dt = 0.02: n = 1001 points, embedding length 2(n - 1)
@@ -184,9 +273,10 @@ class TestVarianceRun:
         # 3224/1999, within 0.06% of 25 V_T(25)
         n_w = np.repeat([-2.0, -1.0, 1.0, 2.0], [204, 796, 796, 204])
         assert len(n_w) == cfg.replications
+        # one column per horizon of the one-horizon ladder
         monkeypatch.setattr(harness, "simulate_windings", lambda *a, **k: {
-            "n_w": n_w, "accepted": np.ones(len(n_w), bool), "n_rejected": 0,
-            "sampler": SimpleNamespace(diagnostics={})})
+            "n_w": n_w[:, None], "accepted": np.ones((len(n_w), 1), bool),
+            "n_rejected": [0], "sampler": SimpleNamespace(diagnostics={})})
         rep = run_variance(cfg)
         row = rep["result"]["rows"][0]
         assert rep["result"]["independent"]
@@ -216,6 +306,14 @@ class TestCltRun:
                                 replications=20))
         assert rep["result"]["standardized_by"].startswith(
             "independent-case quadrature V_inf; bound mode")
+
+    def test_one_replication_refused_whatever_the_kind(self):
+        # the runner checks its own precondition: a library caller's
+        # config keeps the default kind
+        cfg = small_cfg(replications=1)
+        assert cfg.kind == "expectation"
+        with pytest.raises(ConfigError, match="replications >= 2"):
+            run_clt(cfg)
 
     def test_lattice_ks_statistic(self):
         # exact normal integers: distance small; shifted: distance large
@@ -327,6 +425,13 @@ class TestSmoothingRun:
         with pytest.raises(HypothesisError):
             run_smoothing(cfg)
 
+    def test_two_horizons_refused_whatever_the_kind(self):
+        cfg = small_cfg(model=TWO_ALPHA, epsilon_ladder=[0.4, 0.2],
+                        t_ladder=[5.0, 10.0])
+        assert cfg.kind == "expectation"
+        with pytest.raises(ConfigError, match="one horizon"):
+            run_smoothing(cfg)
+
     def test_ladder_of_one_not_assessable(self):
         cfg = small_cfg(model=TWO_ALPHA, kind="smoothing",
                         epsilon_ladder=[0.3], t_ladder=[15.0],
@@ -371,6 +476,12 @@ class TestPathExport:
             ref = sampler.sample(cfg.seed, s)
             assert np.array_equal(path.x1, ref.x1)
             assert np.array_equal(path.x2, ref.x2)
+            # the shorter horizon's file is the prefix of the same path
+            short = load_path_csv(str(tmp_path / "paths" / f"path_T10_{s:05d}.csv"))
+            assert short.meta == path.meta
+            assert np.array_equal(short.x1, ref.x1[:501])
+            assert np.array_equal(short.x2, ref.x2[:501])
+            assert np.allclose(short.times(), ref.times()[:501], rtol=0, atol=1e-12)
 
     def test_paths_taken_by_a_file_exits_2_before_the_run(self, tmp_path,
                                                           monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,15 @@ class TestVarianceGeneral:
         assert rep.method == "general_integrand"
         # the improper integral reproduces the closed-form limit
         assert rep.v_inf == pytest.approx(V_INF_IID_BF, abs=1e-6)
+
+    def test_astronomical_horizon_is_finite(self, iid_bf):
+        # the covariance vanishes past t ~ 38.6, so V_T(1e300) = V_inf;
+        # no overflow of t^2 on the way there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = variance_rate_general(iid_bf, 1e300)
+        assert math.isfinite(rep.v_t) and math.isfinite(rep.v_t_err)
+        assert rep.v_t == pytest.approx(rep.v_inf, abs=1e-12)
 
     def test_cross_method_agreement(self, iid_bf, ou_bf):
         for model, v_ref in ((iid_bf, V_INF_IID_BF), (ou_bf, V_INF_OU_BF)):
