@@ -55,6 +55,7 @@ __all__ = [
 
 SCHEMA = "windlab-report/1"
 _CHUNK_BYTES = 4 << 20  # finished paths held per _map_paths chunk
+_BOOT_BYTES = 1 << 20  # bootstrap resample indices per block
 _SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
 # diagram-series order of the closed-form oracle: the order-80 remainder
 # reaches ~7.5e-9 at |rho34| = 0.9, above the 1e-10 gate; order 160 is
@@ -260,11 +261,17 @@ def _mean_se(x):
 
 
 def _bootstrap_var_ci(x, seed=0):
-    """99% percentile-bootstrap CI of the sample variance, 1000 resamples."""
+    """99% percentile-bootstrap CI of the sample variance, 1000 resamples,
+    drawn in blocks of rows of about _BOOT_BYTES of indices: the generator
+    fills a block's rows in the order it fills one (1000, n) draw, so the
+    CI does not depend on the block size."""
     rng = np.random.default_rng(seed)
     n = len(x)
-    idx = rng.integers(0, n, size=(1000, n))
-    vs = np.var(x[idx], axis=1, ddof=1)
+    rows = max(1, _BOOT_BYTES // (8 * n))
+    vs = np.empty(1000)
+    for i in range(0, 1000, rows):
+        idx = rng.integers(0, n, size=(min(rows, 1000 - i), n))
+        vs[i:i + len(idx)] = np.var(x[idx], axis=1, ddof=1)
     a = (1.0 - 0.99) / 2.0
     return float(np.quantile(vs, a)), float(np.quantile(vs, 1.0 - a))
 
@@ -556,16 +563,10 @@ def _load_correlations(path) -> np.ndarray:
     return data
 
 
-def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
+def run_lemma_check(cfg: ExperimentConfig) -> dict:
     """Oracle equivalence suite: closed form vs diagram series vs
     conditional MC, and closed-form conditional covariance vs Schur
-    regression.
-
-    ``closed_form_override`` substitutes the closed-form evaluator; it
-    exists so the suite can be mutation-tested (a deliberately wrong
-    formula must make the checks fail).
-    """
-    closed = closed_form_override or quadrant_expectation
+    regression."""
     file_corrs = (_load_correlations(cfg.correlations_file)
                   if cfg.correlations_file else None)
     rng = np.random.default_rng(cfg.seed)
@@ -574,8 +575,8 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
     series_err = 0.0
     for _ in range(cfg.lemma_random_sets):
         c = random_psd_quadrant(rng)
-        series_err = max(series_err,
-                         abs(closed(c) - quadrant_expectation_series(c, _SERIES_ORDER)))
+        series_err = max(series_err, abs(quadrant_expectation(c)
+                                         - quadrant_expectation_series(c, _SERIES_ORDER)))
     checks["closed_vs_series"] = {
         "sets": cfg.lemma_random_sets, "max_abs_diff": series_err,
         "tolerance": 1e-10, "pass": bool(series_err < 1e-10)}
@@ -585,7 +586,7 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
     for i in range(cfg.lemma_spot_cases):
         c = random_psd_quadrant(rng)
         mc, se = quadrant_mc(c, cfg.lemma_mc_samples, seed=cfg.seed + 1000 + i)
-        cf = closed(c)
+        cf = quadrant_expectation(c)
         # a zero SE (all draws equal) agrees only with an exact match
         z = abs(cf - mc) / se if se > 0 else (0.0 if cf == mc else math.inf)
         worst_z = max(worst_z, z)
@@ -613,7 +614,7 @@ def run_lemma_check(cfg: ExperimentConfig, closed_form_override=None) -> dict:
         for row in file_corrs:
             c = QuadrantCorr(*map(float, row))
             try:
-                cf = closed(c)
+                cf = quadrant_expectation(c)
                 sr = quadrant_expectation_series(c, _SERIES_ORDER)
                 rows.append({"corr": list(map(float, row)), "closed": cf,
                              "series": sr, "abs_diff": abs(cf - sr),

@@ -26,7 +26,9 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .covmodel import CovarianceModel, ModelClass, classify
+# classify is not called here: the benchmark tracer (perfbench/tracer.py)
+# patches pathgen.classify under --trace 1 and fails on a missing name
+from .covmodel import CovarianceModel, classify  # noqa: F401
 from .errors import ModelError, ParameterError, ResolutionError, SamplerError
 
 __all__ = [
@@ -137,7 +139,7 @@ class _Sampler:
         """Refuse a grid above the backend's n_cap points, allocating nothing."""
         if grid.n > cls.n_cap:
             raise ParameterError(f"{cls.backend} backend capped at "
-                                 f"n = {cls.n_cap} points, got {grid.n}")
+                                 f"n = {cls.n_cap} points, got {grid.n:.3g}")
 
     def sample(self, seed: int, stream: int = 0) -> SamplePath:
         x1, x2 = self.sample_batch(seed, [stream])[0]
@@ -201,38 +203,41 @@ class CholeskySampler(_Sampler):
 # circulant backend
 # ----------------------------------------------------------------------
 class CirculantSampler(_Sampler):
-    """Circulant embedding; scalar per coordinate for independent models,
-    2x2 block (Hermitian spectral matrices, per-frequency factorization)
-    otherwise.  The embedding length L is the shortest fast FFT length
-    covering n - 1 + min(h, n - 1) lags, h being one past the last grid lag
-    at which r1, r2 or r12(+-t) is not exactly 0.0: 2(n-1) (Wood & Chan
-    1994) unless the covariance vanishes inside the grid.  A grid lag d
-    that wraps has d and L - |d| both at least h, where the covariance is
+    """Circulant embedding of the 2x2 block covariance, one spectral factor
+    for every model class.  The embedding length L is the shortest fast FFT
+    length covering n - 1 + min(h, n - 1) lags, h being one past the last
+    grid lag at which r1, r2 or r12(+-t) is not exactly 0.0: 2(n-1) (Wood &
+    Chan 1994) unless the covariance vanishes inside the grid.  A grid lag
+    d that wraps has d and L - |d| both at least h, where the covariance is
     0, so the embedded covariance matrix equals the target entry for entry
     (Dietrich & Newsam 1997).  Negative embedding eigenvalues trigger
     padding doubling up to 8x, after which remaining negative mass is
-    clipped and recorded.  Each coordinate is one real inverse FFT of
-    Hermitian half-spectrum noise (Dietrich & Newsam 1997).  Noise channel
-    c draws normals only for its first K_c half-spectrum bins, the fewest
-    whose dropped weight is at most _BAND_TOL of the channel's total; the
-    bins above stay zero.  A channel that keeps every bin draws L normals,
-    so rough (alpha, OU) coordinates see the full stream."""
+    clipped and recorded.
+
+    Each half-spectrum bin's Hermitian cross-spectrum G_k = [[a, b],
+    [conj b, d]] is factored by one closed-form Jacobi rotation of at most
+    pi/4, so noise channel c is the eigenvector nearest coordinate X_c.
+    Where b = 0 (every bin of an independent model) the factor is
+    diag(sqrt a, sqrt d) up to scale, and the real bins get real factors.
+    Each coordinate is one real inverse FFT of Hermitian half-spectrum
+    noise (Dietrich & Newsam 1997).  Noise channel c draws normals only for
+    its first K_c half-spectrum bins, the fewest whose dropped weight is at
+    most _BAND_TOL of the channel's total; the bins above stay zero.  A
+    channel that keeps every bin draws L normals, so rough (alpha, OU)
+    coordinates see the full stream."""
 
     backend = "circulant"
     # a build plus one path of a regression model at the cap peaks at
-    # 0.6-1.1 GiB, growing with the embedding length (README)
+    # 0.5-0.9 GiB, growing with the embedding length (README)
     n_cap = 2 ** 22 + 1
 
     def __init__(self, model: CovarianceModel, grid: GridSpec):
         self.check_grid(grid)
         self.model = model
         self.grid = grid
-        self.independent = classify(model) in (ModelClass.INDEPENDENT, ModelClass.IID)
         # h: one past the last grid lag at which any correlation is nonzero
         lags = np.arange(grid.n) * grid.dt
-        rs = [model.r1(lags), model.r2(lags)]
-        if not self.independent:
-            rs += [model.r12(lags), model.r12(-lags)]
+        rs = [model.r1(lags), model.r2(lags), model.r12(lags), model.r12(-lags)]
         h = 1 + int(np.flatnonzero(np.any(np.asarray(rs, float) != 0.0, axis=0))[-1])
         self._base = grid.n - 1 + min(h, grid.n - 1)
         self.pad = 1
@@ -260,26 +265,26 @@ class CirculantSampler(_Sampler):
         # bin also stand for their mirror L - k
         real_bins = (k[:L // 2 + 1] == 0) | (2 * k[:L // 2 + 1] == L)
         mult = np.where(real_bins, 1.0, 2.0)
-        g11 = np.fft.rfft(np.asarray(self.model.r1(np.abs(tau)), float))
-        g22 = np.fft.rfft(np.asarray(self.model.r2(np.abs(tau)), float))
-        if self.independent:
-            w = np.stack([g11.real, g22.real], axis=-1)
-        else:
-            # block case: per-frequency 2x2 Hermitian PSD factorization of
-            # G_k = sum_u R(tau_u) e^{-2 pi i k u / L}, R_12(t) = r12(t)
-            G = np.empty((L // 2 + 1, 2, 2), complex)
-            G[:, 0, 0] = g11
-            G[:, 1, 1] = g22
-            G[:, 0, 1] = np.fft.rfft(np.asarray(self.model.r12(tau), float))
-            G[:, 1, 0] = np.fft.rfft(np.asarray(self.model.r12(-tau), float))
-            G = 0.5 * (G + np.conj(np.transpose(G, (0, 2, 1))))
-            w, v = np.linalg.eigh(G)
-            # irfft keeps only the real part of the real bins: real factors
-            w[real_bins], v[real_bins] = np.linalg.eigh(G[real_bins].real)
-            del G
-        # free the lag-domain arrays before the band search and the
-        # factors, so that they do not raise the build's peak memory
-        del k, tau, g11, g22
+        # G_k = sum_u R(tau_u) e^{-2 pi i k u / L}, R_12(t) = r12(t),
+        # hermitised; irfft keeps only the real part of the real bins
+        a = np.fft.rfft(np.asarray(self.model.r1(np.abs(tau)), float)).real
+        d = np.fft.rfft(np.asarray(self.model.r2(np.abs(tau)), float)).real
+        b = 0.5 * (np.fft.rfft(np.asarray(self.model.r12(tau), float))
+                   + np.conj(np.fft.rfft(np.asarray(self.model.r12(-tau), float))))
+        b[real_bins] = b[real_bins].real
+        # free the lag-domain arrays before the factors, so that they do
+        # not raise the build's peak memory
+        del k, tau
+        # Jacobi rotation: tangent t = tan(theta), |theta| <= pi/4, phase p
+        babs = np.abs(b)
+        has_b = babs > 0.0
+        diff = a - d
+        t = np.divide(2.0 * babs, diff + np.copysign(np.hypot(diff, 2.0 * babs), diff),
+                      out=np.zeros_like(babs), where=has_b)
+        p = np.divide(b, babs, out=np.ones_like(b), where=has_b)
+        # channel c's eigenvalue, nearest G_k's diagonal entry c
+        w = np.stack([a + babs * t, d - babs * t], axis=-1)
+        del a, d, b, babs, has_b, diff
         neg = float(np.sum(mult[:, None] * np.clip(w, None, 0.0)))
         self.clipped_mass = -neg / float(np.sum(mult[:, None] * np.abs(w)))
         w = np.clip(w, 0.0, None)
@@ -293,10 +298,18 @@ class CirculantSampler(_Sampler):
             kept.append(len(tail) - m)
             dropped.append(float(tail[m - 1] / tail[-1]) if m else 0.0)
         self.kept_bins, self.truncated_mass = tuple(kept), max(dropped)
+        K = max(kept)
         # complex bins carry (a + ib)/sqrt(2): unit variance from two normals
-        amp = np.sqrt(L * w / mult[:, None])
-        self._fac = (amp.T if self.independent             # (2, bins): diagonal
-                     else np.transpose(v * amp[:, None, :], (1, 2, 0)))  # (2, 2, bins)
+        amp = np.sqrt(L * w[:K] / mult[:K, None]).T
+        cos = 1.0 / np.sqrt(1.0 + t[:K] ** 2)
+        sin = t[:K] * cos
+        # fac[r, c, k]: eigenvectors (cos, conj(p) sin) and (-p sin, cos)
+        # as columns, scaled by the channel amplitudes
+        self._fac = np.empty((2, 2, K), complex)
+        self._fac[0, 0] = cos * amp[0]
+        self._fac[1, 0] = np.conj(p[:K]) * sin * amp[0]
+        self._fac[0, 1] = -p[:K] * sin * amp[1]
+        self._fac[1, 1] = cos * amp[1]
         return self.clipped_mass <= 1e-12  # float-noise negativity is fine
 
     def sample_batch(self, seed: int, streams) -> np.ndarray:
@@ -305,12 +318,15 @@ class CirculantSampler(_Sampler):
         half-spectrum bound the working set for any n."""
         L, K = self.L, max(self.kept_bins)
         draws = [min(2 * k - 1, L) for k in self.kept_bins]
-        fac = self._fac[..., :K]
+        fac = self._fac
+        # the diagonal factors are real: a real scale, as for a diagonal G_k
+        f00, f11 = fac[0, 0].real, fac[1, 1].real
         out = np.empty((len(streams), 2, self.grid.n))
         per = max(1, _SLAB_BYTES // (32 * (L // 2 + 1)))
         # bins from K up are never written, so they stay zero in every slab
         W = np.zeros((min(per, len(streams)), 2, L // 2 + 1), complex)
         re_im = W.view(float)
+        cross = np.empty((2, K), complex)
         for a in range(0, len(streams), per):
             slab = streams[a:a + per]
             Wk = W[:len(slab), :, :K]
@@ -325,10 +341,14 @@ class CirculantSampler(_Sampler):
             for c, d in enumerate(draws):
                 re_im[:len(slab), c, d + 1:2 * K] = 0.0
             Wk.real[..., 0] = Wk.imag[..., 0]
-            if self.independent:
-                Wk *= fac
-            else:
-                Wk[...] = fac[:, 0] * Wk[:, :1] + fac[:, 1] * Wk[:, 1:]
+            # mix the two channels in place, one path at a time
+            for z0, z1 in Wk:
+                np.multiply(fac[0, 1], z1, out=cross[0])
+                np.multiply(fac[1, 0], z0, out=cross[1])
+                z0 *= f00
+                z0 += cross[0]
+                z1 *= f11
+                z1 += cross[1]
             out[a:a + per] = np.fft.irfft(W[:len(slab)], n=L, axis=-1)[..., :self.grid.n]
         return out
 

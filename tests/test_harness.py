@@ -338,7 +338,7 @@ class TestLemmaCheck:
         assert checks["closed_vs_mc"]["pass"]
         assert checks["conditional_cov_vs_schur"]["pass"]
 
-    def test_mutation_detected(self):
+    def test_mutation_detected(self, monkeypatch):
         # flipping the sign of the rho14*rho23 contribution must break the
         # oracle agreement
         def wrong(c: QuadrantCorr):
@@ -348,7 +348,8 @@ class TestLemmaCheck:
             return (c.rho12 / 4.0 + c.rho12 * math.asin(c.rho34) / (2 * math.pi)
                     + (direct - c.rho34 * exch) / (2 * math.pi * s))
 
-        rep = run_lemma_check(self._cfg(), closed_form_override=wrong)
+        monkeypatch.setattr(harness, "quadrant_expectation", wrong)
+        rep = run_lemma_check(self._cfg())
         assert not rep["pass"]
         assert not rep["result"]["checks"]["closed_vs_series"]["pass"]
         assert not rep["result"]["checks"]["closed_vs_mc"]["pass"]
@@ -361,7 +362,9 @@ class TestLemmaCheck:
                             lambda rng: QuadrantCorr(0.0, 0.0, 0.0, 0.0, 0.0, 0.3))
         cfg = small_cfg(kind="lemma_check", seed=1, lemma_mc_samples=1000,
                         lemma_spot_cases=1, lemma_random_sets=0)
-        wrong = run_lemma_check(cfg, closed_form_override=lambda c: 0.01)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "quadrant_expectation", lambda c: 0.01)
+            wrong = run_lemma_check(cfg)
         mc = wrong["result"]["checks"]["closed_vs_mc"]
         row = mc["rows"][0]
         assert row["mc"] == 0.0 and row["mc_se"] == 0.0
@@ -621,6 +624,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_point_cap_message_is_short(self, tmp_path, capsys):
+        # T = 1e300 at dt = 0.01 is a grid of 1e302 points, printed as such
+        from windlab import cli
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": IID_BF, "t_ladder": [1e300],
+                                    "dt": 0.01, "replications": 10}))
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "capped" in err and "got 1e+302" in err and len(err) < 200
 
     @pytest.mark.parametrize("where", ["file", "under_file", "read_only",
                                        "config_dir"])

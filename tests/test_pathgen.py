@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from windlab import pathgen
+from windlab.covmodel import bargmann_fock, make_regression_model, ornstein_uhlenbeck
 from windlab.errors import ModelError, ParameterError, ResolutionError
 from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
                              SamplePath, bump_kernel, export_path_csv,
@@ -209,11 +210,13 @@ class TestCirculant:
         assert _worst_lag_z(model, s, 5) < 4.5
 
     @pytest.mark.parametrize("name", ["iid_bf", "regression03", "even_cross"])
-    def test_cut_embedding_is_exact_on_the_grid(self, name, request):
+    def test_cut_embedding_is_exact_on_the_grid(self, name, request, monkeypatch):
         # T = 60, dt = 0.2: exp(-t^2/2) is 0.0 past t ~ 38.6, so the
         # embedding covers n - 1 + h lags (L = 500 < 600).  The covariance
         # that the spectral factors imply meets r1, r2, r12(t) and r12(-t)
-        # at every grid lag, and h is tight
+        # at every grid lag, and h is tight.  With no band tolerance the
+        # factor spans every bin of nonzero weight
+        monkeypatch.setattr(pathgen, "_BAND_TOL", 0.0)
         model = _model(name, request)
         grid = GridSpec.from_dt(60.0, 0.2)
         n = grid.n
@@ -224,9 +227,10 @@ class TestCirculant:
         want = np.array([[model.r1(lags), model.r12(lags)],
                          [model.r12(-lags), model.r2(lags)]])
         assert np.any(want[..., h - 1] != 0.0) and np.all(want[..., h:] == 0.0)
-        k = np.arange(s.L // 2 + 1)
+        fac = s._fac
+        k = np.arange(fac.shape[-1])
         mult = np.where((k == 0) | (2 * k == s.L), 1.0, 2.0)
-        fac = np.eye(2)[:, :, None] * s._fac if s.independent else s._fac
+        # irfft zero-pads the bins above the factor's
         spec = np.einsum("rck,sck->rsk", fac, fac.conj()) * mult / s.L
         cov = np.fft.irfft(spec, n=s.L, axis=-1)[..., :n]
         assert np.max(np.abs(cov - want)) <= 1e-14
@@ -267,15 +271,18 @@ class TestCirculant:
     @staticmethod
     def _full_draw(s, seed, streams):
         """Every bin drawn: 2L normals per stream into the half-spectrum,
-        as the sampler did before it dropped the empty bins."""
-        L = s.L
+        as the sampler did before it dropped the empty bins; the channels
+        mixed by the factor, whose diagonal is a real scale."""
+        L, f = s.L, s._fac
+        assert f.shape == (2, 2, L // 2 + 1)
         W = np.empty((len(streams), 2, L // 2 + 1), complex)
         re_im = W.view(float)
         for i, stream in enumerate(streams):
             re_im[i, :, 1:L + 1] = pathgen._rng(seed, stream).standard_normal((2, L))
         re_im[..., L + 1:] = 0.0
         W.real[..., 0] = W.imag[..., 0]
-        W *= s._fac
+        W = np.stack([f[0, 0].real * W[:, 0] + f[0, 1] * W[:, 1],
+                      f[1, 0] * W[:, 0] + f[1, 1].real * W[:, 1]], axis=1)
         return np.fft.irfft(W, n=L, axis=-1)[..., :s.grid.n]
 
     @pytest.mark.parametrize("n", [61, 62, 1001])
@@ -338,6 +345,83 @@ class TestCirculant:
             times[n] = time.perf_counter() - t0
             assert np.all(np.isfinite(p.x2))
         assert times[2 ** 20] < max(8.0 * times[2 ** 18], 2.0)
+
+
+def _cross_spectrum(s):
+    """The (bins, 2, 2) Hermitian matrices G_k that the circulant sampler
+    factors: the rfft of r1, r2 and of the hermitised r12, real on the
+    real bins."""
+    L = s.L
+    k = np.arange(L)
+    tau = np.where(k <= L // 2, k, k - L) * s.grid.dt
+    m = s.model
+    b = 0.5 * (np.fft.rfft(m.r12(tau)) + np.conj(np.fft.rfft(m.r12(-tau))))
+    real = (k[:L // 2 + 1] == 0) | (2 * k[:L // 2 + 1] == L)
+    b[real] = b[real].real
+    G = np.empty((L // 2 + 1, 2, 2), complex)
+    G[:, 0, 0] = np.fft.rfft(m.r1(np.abs(tau))).real
+    G[:, 1, 1] = np.fft.rfft(m.r2(np.abs(tau))).real
+    G[:, 0, 1], G[:, 1, 0] = b, np.conj(b)
+    return G, np.where(real, 1.0, 2.0)
+
+
+class TestSpectralFactor:
+    """The closed-form 2x2 rotation against a LAPACK eigh oracle."""
+
+    @pytest.mark.parametrize("name", ["regression03", "rough_x1"])
+    def test_factor_matches_eigh(self, name, request):
+        # T = 20, dt = 0.01: L = 4000 for the rough X1 (its OU noise keeps
+        # every bin, the Nyquist bin among them) and a band-limited cut
+        # for regression03
+        rough = name == "rough_x1"
+        model = (make_regression_model(bargmann_fock(), ornstein_uhlenbeck(), 0.6)
+                 if rough else request.getfixturevalue(name))
+        s = CirculantSampler(model, GridSpec.from_dt(20.0, 0.01))
+        fac = s._fac
+        K = fac.shape[-1]
+        G, mult = _cross_spectrum(s)
+        G, mult = G[:K], mult[:K]
+        scale = np.max(np.abs(G))
+        # the eigenvalues: the factor's column norms
+        lam = np.einsum("rck,rck->kc", fac, fac.conj()).real * mult[:, None] / s.L
+        want = np.clip(np.linalg.eigh(G)[0], 0.0, None)
+        assert np.max(np.abs(np.sort(lam, axis=1) - want)) <= 1e-13 * scale
+        # F F^H reproduces G_k on every kept bin
+        FFh = np.einsum("rck,sck->krs", fac, fac.conj()) * mult[:, None, None] / s.L
+        assert np.max(np.abs(FFh - G)) <= 1e-14 * scale
+        # channel c is the eigenvector nearest coordinate c
+        assert np.all(np.abs(fac[0, 0]) >= np.abs(fac[1, 0]))
+        assert np.all(np.abs(fac[1, 1]) >= np.abs(fac[0, 1]))
+        # the real bins get real factors
+        real = [0] + ([K - 1] if 2 * (K - 1) == s.L else [])
+        assert np.all(fac[..., real].imag == 0.0)
+        if rough:
+            assert s.kept_bins[0] == K == s.L // 2 + 1 and len(real) == 2
+            assert s.kept_bins[1] < K
+
+    def test_independent_factor_is_exactly_diagonal(self, iid_bf):
+        s = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 0.01))
+        fac = s._fac
+        K = fac.shape[-1]
+        G, mult = _cross_spectrum(s)
+        amp = np.sqrt(s.L * np.clip(G[:K, 0, 0].real, 0.0, None) / mult[:K])
+        assert np.all(fac[0, 1] == 0.0) and np.all(fac[1, 0] == 0.0)
+        assert np.all(fac[0, 0].imag == 0.0) and np.all(fac[1, 1].imag == 0.0)
+        assert np.array_equal(fac[0, 0].real, amp)
+        assert np.array_equal(fac[1, 1].real, amp)
+
+    @pytest.mark.parametrize("name, want", [
+        ("iid_bf", ("1.6755551100346557", "-1.1421277534246919")),
+        ("ou_bf", ("1.4137485413392878", "0.028528149109905827")),
+        ("alpha", ("1.4535190360556185", "1.050117247103181")),
+    ])
+    def test_independent_paths_pinned(self, name, want, request):
+        # independent models draw the paths they drew with a diagonal factor
+        from windlab.covmodel import make_alpha_process
+        model = (make_alpha_process(1.2) if name == "alpha"
+                 else request.getfixturevalue(name))
+        x = CirculantSampler(model, GridSpec(T=12.2, n=62)).sample_batch(1, [0])
+        assert (repr(float(x[0, 0, 17])), repr(float(x[0, 1, 17]))) == want
 
 
 class TestOracleEquivalence:

@@ -76,3 +76,30 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def _bootstrap_one_block(x, seed):
+    """The 1000 resamples as one (1000, n) draw."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(x), size=(1000, len(x)))
+    vs = np.var(x[idx], axis=1, ddof=1)
+    a = (1.0 - 0.99) / 2.0
+    return float(np.quantile(vs, a)), float(np.quantile(vs, 1.0 - a))
+
+
+def test_bootstrap_blocks_give_the_one_block_ci(monkeypatch):
+    # blocks of 1, 7 and 64 rows, and the default, at odd and even n
+    for n in (1999, 2000):
+        x = np.random.default_rng(n).standard_normal(n)
+        want = _bootstrap_one_block(x, 11)
+        for rows in (1, 7, 64, None):
+            with monkeypatch.context() as m:
+                if rows:
+                    m.setattr(harness, "_BOOT_BYTES", 8 * n * rows)
+                assert harness._bootstrap_var_ci(x, seed=11) == want
+
+
+def test_bootstrap_peak_memory():
+    # one (1000, n) block of indices and gathers would peak near 1.1 GiB
+    x = np.random.default_rng(3).standard_normal(50_000)
+    assert _peak_bytes(lambda: harness._bootstrap_var_ci(x, seed=1)) < 64 << 20
