@@ -24,7 +24,7 @@ from .gauss import (ChaosCoefficients, ConditionalCov, QuadrantCorr,
 from .harness import (ExperimentConfig, run_clt, run_expectation,
                       run_lemma_check, run_smoothing, run_variance,
                       simulate_windings, write_report)
-from .moments import (MomentReport, QuadratureSpec, chaos_projection_variances,
+from .moments import (MomentReport, chaos_projection_variances,
                       expectation_rate, var_I1, variance_bound_two_alpha,
                       variance_rate_general, variance_rate_independent,
                       variance_WT_route)

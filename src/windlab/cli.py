@@ -30,6 +30,8 @@ from .moments import (chaos_projection_variances, expectation_rate,
 EXIT_OK, EXIT_STAT_FAIL, EXIT_CONFIG = 0, 1, 2
 # the commands whose report has a table (rows or per_t) for --format csv
 TABLE_COMMANDS = ("variance", "simulate", "clt", "smooth")
+# total Hermite order of the coefficient tables that moments writes
+_CHAOS_ORDER = 8
 
 
 def _common(sub):
@@ -78,17 +80,17 @@ def _prepare_out_dir(out_dir) -> None:
         raise ConfigError(f"output directory {out_dir}: not writable")
 
 
-def export_chaos_coefficients_csv(rho1: float, order: int, path) -> None:
+def export_chaos_coefficients_csv(rho1: float, path) -> None:
     """Dump the Hermite coefficient tables (a_k and d_{k2,k3}) as CSV."""
     from .gauss import chaos_coefficients
-    cc = chaos_coefficients(rho1, order)
+    cc = chaos_coefficients(rho1, _CHAOS_ORDER)
     with open(path, "w") as fh:
-        fh.write(f"# chaos coefficients, rho1={rho1:.17g}, order={order}\n")
+        fh.write(f"# chaos coefficients, rho1={rho1:.17g}, order={_CHAOS_ORDER}\n")
         fh.write("kind,k1_or_k2,k3,value\n")
         for k, val in enumerate(cc.a):
             fh.write(f"a,{k},,{val:.17g}\n")
-        for k2 in range(order + 1):
-            for k3 in range(order + 1 - k2):
+        for k2 in range(_CHAOS_ORDER + 1):
+            for k3 in range(_CHAOS_ORDER + 1 - k2):
                 fh.write(f"d,{k2},{k3},{cc.d[k2, k3]:.17g}\n")
 
 
@@ -144,7 +146,7 @@ def main(argv=None) -> int:
         if args.command == "moments":
             rho1 = cfg.build_model().meta.get("rho1", 0.0)
             coeff_path = os.path.join(cfg.out_dir, "chaos_coefficients.csv")
-            export_chaos_coefficients_csv(rho1, 8, coeff_path)
+            export_chaos_coefficients_csv(rho1, coeff_path)
             print(f"coefficient tables written to {coeff_path}")
     else:
         print(report_to_json(report))

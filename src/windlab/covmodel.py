@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _ZERO = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+# condition (A) and the integrability check look at lags up to _LAG_MAX
+_LAG_MAX = 40.0
 
 
 # ----------------------------------------------------------------------
@@ -57,10 +59,9 @@ _ZERO = lambda t: np.zeros_like(np.asarray(t, dtype=float))
 class CovFamily:
     """One stationary scalar correlation function r with r(0) = 1.
 
-    Derivatives are analytic when available; ``differentiable`` means
-    -r''(0) finite (quadratic-mean differentiability of the process).
-    ``lambda2`` stores -r''(0) when finite.  ``f`` is the one-sided
-    spectral density on [0, inf) in the convention
+    Derivatives are analytic when available; a family is differentiable
+    (in quadratic mean, -r''(0) finite) exactly when it provides r''.
+    ``f`` is the one-sided spectral density on [0, inf) in the convention
     r(t) = int_0^inf cos(t*lam) f(lam) dlam, so int f = 1.
     """
 
@@ -71,12 +72,14 @@ class CovFamily:
     d3_r: Optional[Callable] = None
     d4_r: Optional[Callable] = None
     f: Optional[Callable] = None
-    differentiable: bool = False
-    lambda2: Optional[float] = None
     params: dict = field(default_factory=dict)
     # 1 - r(t)^2 free of cancellation (expm1-based for the exp families);
     # the variance integrands divide by it arbitrarily close to t = 0
     one_minus_r_sq: Optional[Callable] = None
+
+    @property
+    def differentiable(self) -> bool:
+        return self.dd_r is not None
 
 
 def bargmann_fock() -> CovFamily:
@@ -99,8 +102,6 @@ def bargmann_fock() -> CovFamily:
         d3_r=clipped(lambda t: t * (3.0 - t ** 2) * e(t)),
         d4_r=clipped(lambda t: (t ** 4 - 6.0 * t ** 2 + 3.0) * e(t)),
         f=clipped(lambda lam: np.sqrt(2.0 / np.pi) * e(lam)),
-        differentiable=True,
-        lambda2=1.0,
         one_minus_r_sq=clipped(lambda t: -np.expm1(-t ** 2)),
     )
 
@@ -115,7 +116,6 @@ def ornstein_uhlenbeck() -> CovFamily:
         r=r,
         d_r=d_r,
         f=lambda lam: (2.0 / np.pi) / (1.0 + np.asarray(lam, float) ** 2),
-        differentiable=False,
         params={"alpha": 1.0},
         one_minus_r_sq=lambda t: -np.expm1(-2.0 * np.abs(np.asarray(t, float))),
     )
@@ -145,8 +145,7 @@ def alpha_family(alpha: float) -> CovFamily:
         return out
 
     return CovFamily(
-        name="alpha", r=r, d_r=d_r, differentiable=False,
-        params={"alpha": alpha},
+        name="alpha", r=r, d_r=d_r, params={"alpha": alpha},
         one_minus_r_sq=lambda t: -np.expm1(-2.0 * np.abs(np.asarray(t, float)) ** alpha),
     )
 
@@ -162,11 +161,19 @@ def _required(entry, key, what, number=False):
     return v
 
 
+def _refuse_unknown(entry, keys, what):
+    """A ParameterError naming the keys of a model-spec entry that are not
+    in keys, so that nothing in a spec is silently dropped."""
+    unknown = sorted(set(entry) - set(keys))
+    if unknown:
+        raise ParameterError(f"unknown keys in {what}: {unknown}")
+
+
+# family name -> (constructor, the numeric parameters it takes in order)
 _FAMILIES = {
-    "bargmann_fock": lambda **kw: bargmann_fock(),
-    "ou": lambda **kw: ornstein_uhlenbeck(),
-    "alpha": lambda **kw: alpha_family(
-        _required(kw, "alpha", "family 'alpha'", number=True)),
+    "bargmann_fock": (bargmann_fock, ()),
+    "ou": (ornstein_uhlenbeck, ()),
+    "alpha": (alpha_family, ("alpha",)),
 }
 
 
@@ -174,7 +181,10 @@ def family_from_name(name: str, **params) -> CovFamily:
     if name not in _FAMILIES:
         raise ParameterError(f"unknown covariance family '{name}' "
                              f"(available: {sorted(_FAMILIES)})")
-    return _FAMILIES[name](**params)
+    make, keys = _FAMILIES[name]
+    what = f"family '{name}'"
+    _refuse_unknown(params, keys, what)
+    return make(*(_required(params, k, what, number=True) for k in keys))
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +195,8 @@ class CovarianceModel:
     """Law of the planar process (X1, X2); immutable and thread-safe.
 
     All function fields accept scalars or ndarrays.  Optional derivative
-    fields are None when the family does not provide them.
+    fields are None when the family does not provide them; X2 is
+    differentiable exactly when r2'' is provided.
     """
 
     r1: Callable
@@ -198,11 +209,13 @@ class CovarianceModel:
     dd_r1: Optional[Callable] = None
     f1: Optional[Callable] = None
     f2: Optional[Callable] = None
-    x2_differentiable: bool = False
-    lambda22: Optional[float] = None
     one_minus_r1_sq: Optional[Callable] = None
     one_minus_r2_sq: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def x2_differentiable(self) -> bool:
+        return self.dd_r2 is not None
 
     def omr1sq(self, t):
         """1 - r1(t)^2, cancellation-free when the family provides it."""
@@ -252,8 +265,6 @@ def make_independent_model(fam1: CovFamily, fam2: CovFamily) -> CovarianceModel:
         d_r1=fam1.d_r, d_r2=fam2.d_r, dd_r2=fam2.dd_r,
         d_r12=_ZERO, dd_r1=fam1.dd_r,
         f1=fam1.f, f2=fam2.f,
-        x2_differentiable=fam2.differentiable,
-        lambda22=fam2.lambda2,
         one_minus_r1_sq=fam1.one_minus_r_sq,
         one_minus_r2_sq=fam2.one_minus_r_sq,
         meta={"construction": "independent",
@@ -310,7 +321,6 @@ def make_regression_model(fam2: CovFamily, rz: CovFamily, rho1: float) -> Covari
         d_r1=d_r1, d_r2=fam2.d_r, dd_r2=fam2.dd_r,
         d_r12=d_r12, dd_r1=dd_r1,
         f1=f1, f2=fam2.f,
-        x2_differentiable=True, lambda22=1.0,
         one_minus_r2_sq=fam2.one_minus_r_sq,
         meta={"construction": "regression", "rho1": rho1, "rho2": rho2,
               "x2": {"family": fam2.name, **fam2.params},
@@ -363,16 +373,17 @@ class ConditionReport:
         return dict(self.__dict__)
 
 
-def check_conditions(model: CovarianceModel, lag_max=40.0) -> ConditionReport:
+def check_conditions(model: CovarianceModel) -> ConditionReport:
     notes = []
-    # Geman: convergence at zero of (lambda22 + r2'')/t
-    if model.x2_differentiable and model.dd_r2 is not None:
+    # Geman: convergence at zero of (r2''(t) - r2''(0))/t
+    if model.x2_differentiable:
+        dd0 = float(model.dd_r2(0.0))
         vals = []
         delta0 = 0.5
         for k in range(1, 14):
             lo, hi = delta0 * 2.0 ** (-k), delta0
             v, _ = adaptive_quad(
-                lambda t: (model.lambda22 + model.dd_r2(t)) / t, lo, hi,
+                lambda t: (model.dd_r2(t) - dd0) / t, lo, hi,
                 abs_tol=1e-11, rel_tol=1e-11)
             vals.append(v)
         changes = np.abs(np.diff(vals))
@@ -392,10 +403,10 @@ def check_conditions(model: CovarianceModel, lag_max=40.0) -> ConditionReport:
             names.append(nm)
         else:
             notes.append(f"condition (A): {nm} unavailable, omitted from m(t)")
-    grid = np.linspace(1e-6, lag_max, 4001)
+    grid = np.linspace(1e-6, _LAG_MAX, 4001)
     m = np.max(np.abs(np.vstack([np.asarray(c(grid), float) for c in comps])), axis=0)
     m_l2 = float(np.trapezoid(m ** 2, grid))
-    half = grid >= lag_max / 2.0
+    half = grid >= _LAG_MAX / 2.0
     m_l2_tail = float(np.trapezoid(m[half] ** 2, grid[half]))
     a_status = "plausible" if (m[-1] < 1e-3 and m_l2_tail < 1e-6 * max(m_l2, 1.0)) else "suspect"
 
@@ -405,8 +416,8 @@ def check_conditions(model: CovarianceModel, lag_max=40.0) -> ConditionReport:
         def integrand(t):
             return (model.r2(t) ** 2 + model.d_r12(t) ** 2 + model.d_r2(t) ** 2
                     + np.abs(model.r1(t) * model.dd_r2(t)))
-        v_half, _ = adaptive_quad(integrand, 0.0, lag_max / 2.0, 1e-9, 1e-9)
-        v_tail, _ = adaptive_quad(integrand, lag_max / 2.0, lag_max, 1e-9, 1e-9)
+        v_half, _ = adaptive_quad(integrand, 0.0, _LAG_MAX / 2.0, 1e-9, 1e-9)
+        v_tail, _ = adaptive_quad(integrand, _LAG_MAX / 2.0, _LAG_MAX, 1e-9, 1e-9)
         integ_status = "plausible" if v_tail < max(1e-8, 1e-6 * v_half) else "suspect"
         integ_val, integ_tail = 2.0 * (v_half + v_tail), 2.0 * v_tail
     else:
@@ -434,7 +445,8 @@ def _family_from_entry(entry: dict) -> CovFamily:
 def model_from_spec(spec) -> CovarianceModel:
     """Build a model from its structured-text description.
 
-    Accepted shapes (see README for the schema):
+    Accepted shapes (see README for the schema); a key that the shape
+    does not read raises ParameterError:
       {"x1": {"family": "ou"}, "x2": {"family": "bargmann_fock"},
        "cross": "independent"}
       {"x": {"family": "bargmann_fock"}, "cross": "iid"}
@@ -450,14 +462,18 @@ def model_from_spec(spec) -> CovarianceModel:
         raise ParameterError(f"model spec must be a JSON object, got {spec!r}")
     cross = spec.get("cross", "independent")
     if cross == "iid":
-        fam = _family_from_entry(
-            spec.get("x") or _required(spec, "x2", "iid model ('x' or 'x2')"))
-        return make_iid_model(fam)
+        x = "x" if spec.get("x") else "x2"
+        _refuse_unknown(spec, ("cross", x), "iid model")
+        return make_iid_model(_family_from_entry(
+            _required(spec, x, "iid model ('x' or 'x2')")))
     if cross == "independent":
+        _refuse_unknown(spec, ("cross", "x1", "x2"), "independent model")
         return make_independent_model(
             _family_from_entry(_required(spec, "x1", "independent model")),
             _family_from_entry(_required(spec, "x2", "independent model")))
     if isinstance(cross, dict) and cross.get("type") == "regression":
+        _refuse_unknown(spec, ("cross", "x2"), "regression model")
+        _refuse_unknown(cross, ("type", "rho1", "rz"), "regression cross")
         return make_regression_model(
             _family_from_entry(_required(spec, "x2", "regression model")),
             _family_from_entry(_required(cross, "rz", "regression cross")),

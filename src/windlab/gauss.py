@@ -91,7 +91,8 @@ class QuadrantCorr:
         return m
 
     def validate(self):
-        if max(abs(v) for v in self.__dict__.values()) > 1.0:
+        # written so that NaN fails the range test
+        if not all(abs(v) <= 1.0 for v in self.__dict__.values()):
             raise DomainError("correlations must lie in [-1, 1]")
         emin = float(np.linalg.eigvalsh(self.matrix()).min())
         if emin < _PSD_TOL:

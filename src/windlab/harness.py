@@ -61,6 +61,7 @@ _SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
 # reaches ~7.5e-9 at |rho34| = 0.9, above the 1e-10 gate; order 160 is
 # below 1e-15 there
 _SERIES_ORDER = 160
+_QMC_CHUNK = 1 << 14  # quadrant_mc uniforms drawn per step (128 KiB)
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +461,7 @@ def random_psd_quadrant(rng, max_rho34=0.9) -> QuadrantCorr:
                                 rho23=r[1, 2], rho24=r[1, 3], rho34=r[2, 3])
 
 
-def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int, chunk=1 << 14):
+def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int):
     """Angle-only conditional MC estimate of E[X1 X2 1{X3>0} 1{X4>0}];
     returns (mean, se).
 
@@ -486,16 +487,14 @@ def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int, chunk=1 << 14):
     rule.  No sample falls outside the quadrant, and the loop calls no BLAS
     routine, whose thread pool oversubscribes the cores on thin products.
 
-    Uniforms are drawn ``chunk`` at a time (128 KiB at the default); the
-    draws do not depend on ``chunk``, only the order of the partial sums.
-    n_samples < 2 or chunk < 1 raises ParameterError; a singular C raises
+    Uniforms are drawn _QMC_CHUNK at a time; the draws do not depend on
+    _QMC_CHUNK, only the order of the partial sums.
+    n_samples < 2 raises ParameterError; a singular C raises
     SingularityError; |rho34| > 1 or an S that is not positive semidefinite
     raises DomainError.
     """
     if n_samples < 2:
         raise ParameterError(f"quadrant_mc needs n_samples >= 2, got {n_samples}")
-    if chunk < 1:
-        raise ParameterError(f"quadrant_mc needs chunk >= 1, got {chunk}")
     if abs(c.rho34) > 1.0:
         raise DomainError(f"correlation must lie in [-1, 1], got rho34 = {c.rho34}")
     r = c.matrix()
@@ -522,7 +521,7 @@ def quadrant_mc(c: QuadrantCorr, n_samples: int, seed: int, chunk=1 << 14):
     tot = tot2 = 0.0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_QMC_CHUNK, n_samples - done)
         s = s_lo + width * rng.random(m)
         d = 1.0 + s * s
         y = ((((e0 * s - e1) * s + e2) * s + e1) * s + e0) / (d * d * d)

@@ -46,7 +46,6 @@ from .pathgen import bump_kernel, next_fast_len
 from .quadrature import adaptive_quad, integrate_to_infinity, tanh_sinh
 
 __all__ = [
-    "QuadratureSpec",
     "MomentReport",
     "WTRoute",
     "TwoAlphaBound",
@@ -66,22 +65,10 @@ TWO_PI = 2.0 * math.pi
 _BUMP_HALF = 1000
 _HEAD = 8
 _TAIL_HALF = 100
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and truncation controls for the improper integrals."""
-
-    t_max: float = 25.0
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        # written so that NaN fails every comparison
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ParameterError("tolerances must be positive and finite")
-        if not 0 < self.t_max < math.inf:
-            raise ParameterError("t_max must be positive and finite")
+# absolute and relative tolerance of every improper integral here (the
+# pinned constants are measured at it); integrate_to_infinity truncates
+# from its default t_max of 25
+_TOL = 1e-9
 
 
 @dataclass
@@ -153,15 +140,16 @@ def _singularity_power(model) -> int:
     return int(math.ceil(1.0 / (1.0 + a))) + 1
 
 
-def _from_zero(model, g, T, abs_tol, rel_tol):
-    """adaptive_quad of g over [0, T] under the substitution t = u^p of
-    _singularity_power (the identity when p = 1)."""
+def _from_zero(model, g, T, tol):
+    """adaptive_quad of g over [0, T], to absolute and relative tolerance
+    tol, under the substitution t = u^p of _singularity_power (the identity
+    when p = 1)."""
     p = _singularity_power(model)
     return adaptive_quad(lambda u: g(u ** p) * p * u ** (p - 1), 0.0,
-                         T ** (1.0 / p), abs_tol, rel_tol)
+                         T ** (1.0 / p), tol, tol)
 
 
-def _coupling_integral(model, q: QuadratureSpec):
+def _coupling_integral(model):
     """I = int_0^inf r1' r2'/sqrt((1-r1^2)(1-r2^2)) dt by two rules.
 
     Tanh-sinh handles the possible t^a endpoint singularity natively; the
@@ -180,16 +168,15 @@ def _coupling_integral(model, q: QuadratureSpec):
         raise DivergenceError(
             "coupling integral I is not Riemann convergent at 0; the "
             "independent-case variance hypothesis (I convergent) fails")
-    head_gk, e_gk = _from_zero(model, g, 1.0, q.abs_tol * 1e-2, q.rel_tol * 1e-2)
+    head_gk, e_gk = _from_zero(model, g, 1.0, _TOL * 1e-2)
     head_ts, _ = tanh_sinh(g, 0.0, 1.0, tol=1e-12)
-    tail, e_tail = integrate_to_infinity(g, 1.0, q.abs_tol, q.rel_tol, q.t_max)
+    tail, e_tail = integrate_to_infinity(g, 1.0, _TOL, _TOL)
     disagreement = abs(head_gk - head_ts)
     value = head_gk + tail
     return value, e_gk + e_tail, disagreement
 
 
-def variance_rate_independent(model: CovarianceModel,
-                              q: QuadratureSpec = QuadratureSpec()) -> MomentReport:
+def variance_rate_independent(model: CovarianceModel) -> MomentReport:
     """Asymptotic variance rate for independent coordinates:
     V_inf = I/(2 pi^2).
 
@@ -219,7 +206,7 @@ def variance_rate_independent(model: CovarianceModel,
                 "alpha1 + alpha2 > 2 are handled (bound mode)")
         notes.append("bound mode: X2 non-differentiable; value is the "
                      "smoothing-limit bound, not a proven limit")
-    i_val, i_err, i_disagree = _coupling_integral(model, q)
+    i_val, i_err, i_disagree = _coupling_integral(model)
     v_inf = i_val / (2.0 * math.pi ** 2)
     return MomentReport(
         expectation_rate=0.0,
@@ -252,8 +239,7 @@ def _ec_bracket(model, rho1_sq):
     return bracket
 
 
-def variance_rate_general(model: CovarianceModel, T,
-                          q: QuadratureSpec = QuadratureSpec()) -> MomentReport:
+def variance_rate_general(model: CovarianceModel, T) -> MomentReport:
     """V_T and V_inf from A and B of the module docstring, in one pass.
 
     T is a horizon or a strictly increasing sequence of them; v_t, v_t_err
@@ -270,11 +256,9 @@ def variance_rate_general(model: CovarianceModel, T,
         raise ParameterError("T must be a finite positive horizon or a "
                              f"strictly increasing sequence of them, got {T}")
     bracket = _ec_bracket(model, float(model.d_r12(0.0)) ** 2)
-    a, e_a = adaptive_quad(bracket, 0.0, horizons, q.abs_tol, q.rel_tol)
-    b, e_b = adaptive_quad(lambda t: t * bracket(t), 0.0, horizons,
-                           q.abs_tol, q.rel_tol)
-    tail, e_tail = integrate_to_infinity(bracket, horizons[-1], q.abs_tol,
-                                         q.rel_tol, q.t_max)
+    a, e_a = adaptive_quad(bracket, 0.0, horizons, _TOL, _TOL)
+    b, e_b = adaptive_quad(lambda t: t * bracket(t), 0.0, horizons, _TOL, _TOL)
+    tail, e_tail = integrate_to_infinity(bracket, horizons[-1], _TOL, _TOL)
     c = 2.0 / TWO_PI ** 2
     v_t = (1.0 / TWO_PI + c * (a - b / horizons)).tolist()
     v_t_err = (c * (e_a + e_b / horizons)).tolist()
@@ -315,8 +299,7 @@ class WTRoute:
     partial_i: float
 
 
-def variance_WT_route(model: CovarianceModel, T: float,
-                      q: QuadratureSpec = QuadratureSpec()) -> WTRoute:
+def variance_WT_route(model: CovarianceModel, T: float) -> WTRoute:
     cls = classify(model)
     if cls not in (ModelClass.INDEPENDENT, ModelClass.IID):
         raise ParameterError("the W_T route is defined for independent models")
@@ -327,14 +310,13 @@ def variance_WT_route(model: CovarianceModel, T: float,
     def fprime_arccos(t):
         return -_minus_f_prime(model, t) * orthant_angle(model.r1(t))
 
-    W_T = -adaptive_quad(fprime_arccos, 0.0, T, q.abs_tol, q.rel_tol)[0]
-    w_t = adaptive_quad(lambda t: t * fprime_arccos(t), 0.0, T,
-                        q.abs_tol, q.rel_tol)[0]
+    W_T = -adaptive_quad(fprime_arccos, 0.0, T, _TOL, _TOL)[0]
+    w_t = adaptive_quad(lambda t: t * fprime_arccos(t), 0.0, T, _TOL, _TOL)[0]
 
     def f_of(t):
         return float(model.d_r2(t)) / math.sqrt(float(model.omr2sq(t)))
 
-    partial_i = _from_zero(model, _i_integrand(model), T, q.abs_tol, q.rel_tol)[0]
+    partial_i = _from_zero(model, _i_integrand(model), T, _TOL)[0]
     boundary = f_of(T) * orthant_angle(float(model.r1(T)))
     corrected = -math.pi / 2.0 - boundary + 0.5 * partial_i
     published_val = math.pi / 2.0 - boundary + partial_i
@@ -357,8 +339,7 @@ def var_I1(model: CovarianceModel, T: float) -> float:
     return (a0 * d10) ** 2 * (2.0 / T) * (1.0 - float(model.r2(T)))
 
 
-def chaos_projection_variances(model: CovarianceModel,
-                               q: QuadratureSpec = QuadratureSpec()) -> dict:
+def chaos_projection_variances(model: CovarianceModel) -> dict:
     """Limits of Var(I_2(T)) and (independent models) Var(I_4(T)).
 
     Time-domain values are primary; Plancherel/convolution evaluations are
@@ -376,7 +357,7 @@ def chaos_projection_variances(model: CovarianceModel,
     def g2(t):
         return model.d_r1(t) * model.d_r2(t) + model.d_r12(t) * model.d_r12(-t)
 
-    i2, e2 = integrate_to_infinity(g2, 0.0, q.abs_tol, q.rel_tol, q.t_max)
+    i2, e2 = integrate_to_infinity(g2, 0.0, _TOL, _TOL)
     var_i2 = i2 / (2.0 * math.pi ** 2)
     out = {"var_I2_limit": var_i2, "var_I2_err": e2 / (2 * math.pi ** 2)}
 
@@ -384,14 +365,13 @@ def chaos_projection_variances(model: CovarianceModel,
     if model.f1 is not None and model.f2 is not None:
         def s2(lam):
             return lam * lam * model.f1(lam) * model.f2(lam)
-        spectral = integrate_to_infinity(s2, 0.0, q.abs_tol, q.rel_tol,
-                                         q.t_max)[0] / (4.0 * math.pi)
+        spectral = integrate_to_infinity(s2, 0.0, _TOL, _TOL)[0] / (4.0 * math.pi)
         rho1 = model.meta.get("rho1")
         if model.meta.get("construction") == "regression" and rho1 is not None:
             def s2c(lam):
                 return lam ** 4 * model.f2(lam) ** 2
             spectral += rho1 ** 2 * integrate_to_infinity(
-                s2c, 0.0, q.abs_tol, q.rel_tol, q.t_max)[0] / (4.0 * math.pi)
+                s2c, 0.0, _TOL, _TOL)[0] / (4.0 * math.pi)
         out["var_I2_spectral"] = spectral
         out["var_I2_agreement"] = abs(spectral - var_i2)
 
@@ -399,13 +379,14 @@ def chaos_projection_variances(model: CovarianceModel,
     cls = classify(model)
     if cls not in (ModelClass.INDEPENDENT, ModelClass.IID):
         notes.append("var_I4 skipped: displayed limit assumes r12 = 0")
-    elif model.dd_r1 is None:
-        notes.append("var_I4 skipped: r1 not twice differentiable")
+    elif model.dd_r1 is None or model.dd_r2 is None:
+        which = "r1" if model.dd_r1 is None else "r2"
+        notes.append(f"var_I4 skipped: {which} not twice differentiable")
     else:
         def g4(t):
             return (model.r1(t) ** 3 * -model.dd_r2(t)
                     + model.r2(t) ** 3 * -model.dd_r1(t))
-        i4, e4 = integrate_to_infinity(g4, 0.0, q.abs_tol, q.rel_tol, q.t_max)
+        i4, e4 = integrate_to_infinity(g4, 0.0, _TOL, _TOL)
         out["var_I4_limit"] = i4 / (2.0 * math.pi)
         out["var_I4_err"] = e4 / (2.0 * math.pi)
         if model.f1 is not None and model.f2 is not None:
@@ -517,8 +498,7 @@ def _tail_integrand(model, epsilon, c0, w, dw):
     return f
 
 
-def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid,
-                             q: QuadratureSpec = QuadratureSpec()) -> TwoAlphaBound:
+def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid) -> TwoAlphaBound:
     """Smoothing-limit upper bound I/(2 pi^2) on limsup Var(N_W)/T for two
     independent alpha-processes with alpha1 + alpha2 > 2, plus the
     epsilon-smoothed coupling values showing convergence as eps -> 0.
@@ -548,7 +528,7 @@ def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid,
         raise ParameterError("epsilon_grid must be non-empty and positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ParameterError("epsilon_grid must be strictly decreasing")
-    i_val, i_err, i_disagree = _coupling_integral(model, q)
+    i_val, i_err, i_disagree = _coupling_integral(model)
     bound = i_val / (2.0 * math.pi ** 2)
 
     fine = _bump_autocorr(_BUMP_HALF)
@@ -561,8 +541,7 @@ def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid,
         head, c0 = _lattice_head(model, e, g, *fine)
         head_coarse, _ = _lattice_head(model, e, g[::2], *coarse)
         tail, tail_err = integrate_to_infinity(
-            _tail_integrand(model, e, c0, *tail_kernel), _HEAD * e,
-            q.abs_tol, q.rel_tol, q.t_max)
+            _tail_integrand(model, e, c0, *tail_kernel), _HEAD * e, _TOL, _TOL)
         i_eps = head + tail
         per_eps.append({"epsilon": float(e), "i_eps": i_eps,
                         "i_eps_err": abs(head - head_coarse) + tail_err,

@@ -7,6 +7,7 @@ coverage plus a 5% band for variances, and p > 0.01 for the
 (lattice-corrected) KS test.  All runs are seeded and deterministic.
 """
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy.special import zeta
 
 import windlab as w
 from windlab.harness import quadrant_mc, random_psd_quadrant
-from windlab.moments import QuadratureSpec
+from windlab.quadrature import integrate_to_infinity
 
 SEED = 20260808
 
@@ -80,12 +81,16 @@ def test_c02_variance_iid_bargmann_fock():
           covered and within, detail)
 
 
-def test_c03_variance_ou_bargmann_fock():
+def test_c03_variance_ou_bargmann_fock(monkeypatch):
     model = w.model_from_spec(OU_BF)
     # the coupling integrand behaves like t^(-1/2) at zero; quadrature must
-    # be refinement-stable to 1e-6 and finite
-    a = w.variance_rate_independent(model, QuadratureSpec(t_max=25.0))
-    b = w.variance_rate_independent(model, QuadratureSpec(t_max=50.0))
+    # be refinement-stable to 1e-6 and finite: its tail truncated from 25
+    # (the default) and from 50
+    a = w.variance_rate_independent(model)
+    with monkeypatch.context() as m:
+        m.setattr(w.moments, "integrate_to_infinity",
+                  partial(integrate_to_infinity, t_max=50.0))
+        b = w.variance_rate_independent(model)
     stable = abs(a.extras["i_integral"] - b.extras["i_integral"]) < 1e-6
     assert math.isfinite(a.v_inf)
     assert a.extras["i_integral"] == pytest.approx(I_OU_BF, abs=1e-6)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_diff
+from windlab import covmodel
 from windlab.covmodel import (CovFamily, ModelClass, alpha_family,
                               bargmann_fock, check_conditions, classify,
                               family_from_name, make_alpha_process,
@@ -14,6 +15,7 @@ from windlab.covmodel import (CovFamily, ModelClass, alpha_family,
 from windlab.errors import CapabilityError, ParameterError
 from windlab.quadrature import adaptive_quad
 
+BF = {"family": "bargmann_fock"}
 ALL_FAMILIES = [bargmann_fock(), ornstein_uhlenbeck(), alpha_family(1.5),
                 alpha_family(0.7)]
 
@@ -112,7 +114,6 @@ def test_unnormalized_x2_family_rejected():
         name="wide_gaussian",
         r=lambda t: np.exp(-np.asarray(t, float) ** 2),
         dd_r=lambda t: (4.0 * np.asarray(t, float) ** 2 - 2.0) * np.exp(-np.asarray(t, float) ** 2),
-        differentiable=True, lambda2=2.0,
     )
     for build in (lambda: make_independent_model(bargmann_fock(), g),
                   lambda: make_iid_model(g),
@@ -223,8 +224,9 @@ class TestConditions:
         assert rep.geman_status == "not applicable"
         assert not m.x2_differentiable
 
-    def test_iid_bf_tails(self, iid_bf):
-        rep = check_conditions(iid_bf, lag_max=12.0)
+    def test_iid_bf_tails(self, iid_bf, monkeypatch):
+        monkeypatch.setattr(covmodel, "_LAG_MAX", 12.0)
+        rep = check_conditions(iid_bf)
         assert rep.a_status == "plausible"
         # m(t)^2 beyond t = 6 integrates to far below 1e-8
         grid = np.linspace(6.0, 12.0, 500)
@@ -254,6 +256,23 @@ class TestModelSpec:
         with pytest.raises(ParameterError):
             model_from_spec({"x1": {"family": "ou"}, "x2": {"family": "ou"},
                              "cross": "entangled"})
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"x1": {"family": "ou", "alpha": 0.5}, "x2": BF, "cross": "independent"},
+         "alpha"),
+        ({"x": {"family": "bargmann_fock", "rho": 1}, "cross": "iid"}, "rho"),
+        ({"x2": BF, "cross": {"type": "regression", "rho1": 0.3, "rho2": 0.9,
+                              "rz": BF}}, "rho2"),
+        ({"x1": BF, "x2": BF, "colour": "red"}, "colour"),
+        ({"x": BF, "x2": BF, "cross": "iid"}, "x2"),
+        ({"x": BF, "x2": BF, "cross": {"type": "regression", "rho1": 0.3,
+                                       "rz": BF}}, "x"),
+    ], ids=["family-param", "iid-family-param", "regression-cross", "top-level",
+            "iid-x-and-x2", "regression-x"])
+    def test_unknown_key_refused(self, spec, key):
+        # a key nothing reads is refused, not silently dropped
+        with pytest.raises(ParameterError, match=f"unknown keys in .*'{key}'"):
+            model_from_spec(spec)
 
 
 def test_make_alpha_process_pair():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gauss_hermite_2d
+from windlab import harness
 from windlab.covmodel import bargmann_fock, make_independent_model
 from windlab.errors import (CapabilityError, DegenerateConditioningError,
                             DomainError, ParameterError, SingularityError)
@@ -258,24 +259,23 @@ class TestQuadrantMC:
                 return draw
 
         monkeypatch.setattr(np.random, "default_rng", Recorder)
-        quadrant_mc(QuadrantCorr(0.3, 0.2, 0.1, 0.1, 0.2, 0.4), 10_000,
-                    seed=1, chunk=3000)
+        monkeypatch.setattr(harness, "_QMC_CHUNK", 3000)
+        quadrant_mc(QuadrantCorr(0.3, 0.2, 0.1, 0.1, 0.2, 0.4), 10_000, seed=1)
         assert {name for name, _ in calls} == {"random"}
         assert sum(args[0] for _, args in calls) == 10_000
         loop = inspect.getsource(quadrant_mc).split("while done < n_samples:")[1]
         assert "@" not in loop and "dot" not in loop and "normal" not in loop
 
-    @pytest.mark.parametrize("n_samples, chunk", [(0, 100), (1, 100), (100, 0)],
-                             ids=["no-samples", "one-sample", "zero-chunk"])
+    @pytest.mark.parametrize("n_samples", [0, 1], ids=["no-samples", "one-sample"])
     def test_bad_sample_count_or_chunk_raises_before_drawing(
-            self, monkeypatch, n_samples, chunk):
+            self, monkeypatch, n_samples):
         def no_draws(seed):
             raise AssertionError("drew before checking its arguments")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ParameterError):
             quadrant_mc(QuadrantCorr(0.3, 0.2, 0.1, 0.1, 0.2, 0.4), n_samples,
-                        seed=1, chunk=chunk)
+                        seed=1)
 
     def test_degenerate_pair_identity(self):
         for i, (c, expect) in enumerate(DEGENERATE_PAIRS):

@@ -387,7 +387,8 @@ class TestLemmaCheck:
         f = tmp_path / "corr.csv"
         rows = ["0.5,0,0,0,0,0",          # independent pair
                 "0.0,0.2,0.0,0.0,0.1,0.3",
-                "0.9,0.9,0.0,0.0,0.0,-0.9"]  # not PSD
+                "0.9,0.9,0.0,0.0,0.0,-0.9",  # not PSD
+                "0.5,0,0,0,0,nan"]  # NaN fails the range test, like inf
         f.write_text("\n".join(rows) + "\n")
         cfg = self._cfg()
         cfg.correlations_file = str(f)
@@ -395,6 +396,7 @@ class TestLemmaCheck:
         file_rows = rep["result"]["checks"]["file_rows"]
         assert file_rows[0]["pass"] and file_rows[1]["pass"]
         assert not file_rows[2]["pass"] and "error" in file_rows[2]
+        assert not file_rows[3]["pass"] and "[-1, 1]" in file_rows[3]["error"]
 
     @pytest.mark.parametrize("text", [
         "0.5,0,0,0,0\n", "0.5,0,0,0,0,0,0.1\n", "0.5,0,0,0,0,0\n0.5,0,0\n",
@@ -596,6 +598,9 @@ class TestCli:
         ("simulate", {"t_ladder": [1e12], "dt": 0.01}, [], "capped"),
         ("simulate", {"t_ladder": [1e300], "dt": 0.01}, [], "capped"),
         ("simulate", {"t_ladder": [1e308], "dt": 0.001}, [], "overflows"),
+        # a model-spec key that nothing reads (OU has no alpha to set)
+        ("moments", {"model": {"x": {"family": "ou", "alpha": 0.5},
+                               "cross": "iid"}}, [], "unknown keys"),
     ])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys,
                                 command, fields, flags, message):

@@ -1,23 +1,26 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 from conftest import numeric_diff
+from windlab import moments
 from windlab.covmodel import (alpha_family, bargmann_fock, make_alpha_process,
                               make_independent_model, make_regression_model,
                               ornstein_uhlenbeck)
 from windlab.errors import (CapabilityError, DivergenceError, HypothesisError,
                             ParameterError)
 from windlab.gauss import conditional_cov
-from windlab.moments import (QuadratureSpec, chaos_projection_variances,
-                             expectation_rate, var_I1,
-                             variance_bound_two_alpha, variance_rate_general,
-                             variance_rate_independent, variance_WT_route)
+from windlab.moments import (chaos_projection_variances, expectation_rate,
+                             var_I1, variance_bound_two_alpha,
+                             variance_rate_general, variance_rate_independent,
+                             variance_WT_route)
 from windlab.pathgen import bump_kernel
+from windlab.quadrature import integrate_to_infinity
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,11 +76,13 @@ class TestVarianceIndependent:
         assert rep.extras["i_integral"] == pytest.approx(I_OU_BF, abs=1e-6)
         assert rep.v_inf == pytest.approx(V_INF_OU_BF, abs=1e-6)
 
-    def test_ou_bf_truncation_stability(self, ou_bf):
+    def test_ou_bf_truncation_stability(self, ou_bf, monkeypatch):
         # refinement-stable: a different starting horizon must not move I
-        a = variance_rate_independent(ou_bf, QuadratureSpec(t_max=30.0))
-        b = variance_rate_independent(ou_bf, QuadratureSpec(t_max=60.0))
-        assert abs(a.extras["i_integral"] - b.extras["i_integral"]) < 1e-9
+        def i_from(t_max):
+            monkeypatch.setattr(moments, "integrate_to_infinity",
+                                partial(integrate_to_infinity, t_max=t_max))
+            return variance_rate_independent(ou_bf).extras["i_integral"]
+        assert abs(i_from(30.0) - i_from(60.0)) < 1e-9
 
     def test_frozen_x1_gives_zero_rate(self, iid_bf):
         # constant r1 freezes X1: crossing signs alternate and the rate
@@ -311,6 +316,13 @@ class TestChaosProjections:
         out = chaos_projection_variances(ou_bf)
         assert "var_I4_limit" not in out
         assert any("twice differentiable" in n for n in out["notes"])
+
+    def test_rough_x2_skips_fourth_chaos(self):
+        # a smooth X1 beside a rough X2: r2'' is missing, not r1''
+        out = chaos_projection_variances(
+            make_independent_model(bargmann_fock(), ornstein_uhlenbeck()))
+        assert "var_I4_limit" not in out and "var_I2_limit" in out
+        assert "var_I4 skipped: r2 not twice differentiable" in out["notes"]
         assert out["var_I2_limit"] > 0.0
 
     def test_regression_gets_caveat(self, regression03):
@@ -395,17 +407,6 @@ def _brute_force_i_eps(model, eps, half=4000, t_end=8.0):
     t = np.arange(d.size) * delta
     theta_1 = np.arctan2(np.sqrt(model.omr1sq(t)), model.r1(t))  # arccos r1
     return float(0.5 * (theta_eps[1:] + theta_eps[:-1]) @ np.diff(theta_1))
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ParameterError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ParameterError):
-        QuadratureSpec(t_max=0.0)
-    for bad in (math.nan, math.inf):
-        for field in ("abs_tol", "rel_tol", "t_max"):
-            with pytest.raises(ParameterError):
-                QuadratureSpec(**{field: bad})
 
 
 def test_report_serialization(iid_bf):

@@ -61,10 +61,12 @@ def test_simulate_peak_memory_does_not_grow_with_reps():
     assert four <= one + (1 << 20)
 
 
-def test_quadrant_mc_chunk_changes_only_summation_order():
+def test_quadrant_mc_chunk_changes_only_summation_order(monkeypatch):
     c = random_psd_quadrant(np.random.default_rng(3))
-    m1, se1 = quadrant_mc(c, 100_000, seed=9, chunk=1000)
-    m2, se2 = quadrant_mc(c, 100_000, seed=9, chunk=100_000)
+    monkeypatch.setattr(harness, "_QMC_CHUNK", 1000)
+    m1, se1 = quadrant_mc(c, 100_000, seed=9)
+    monkeypatch.setattr(harness, "_QMC_CHUNK", 100_000)
+    m2, se2 = quadrant_mc(c, 100_000, seed=9)
     assert abs(m1 - m2) <= 1e-15
     assert abs(se1 - se2) <= 1e-12 * se2
 
