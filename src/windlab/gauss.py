@@ -69,9 +69,15 @@ def orthant_angle(r):
 # ----------------------------------------------------------------------
 # quadrant expectation
 # ----------------------------------------------------------------------
+# the flat 4x4 correlation matrix as entries of (1, rho12, ..., rho34)
+_GATHER = [0, 1, 2, 3, 1, 0, 4, 5, 2, 4, 0, 6, 3, 5, 6, 0]
+
+
 @dataclass(frozen=True)
 class QuadrantCorr:
-    """Correlations of a centered unit-variance Gaussian 4-vector."""
+    """Correlations of a centered unit-variance Gaussian 4-vector, or of
+    one such vector per entry when the fields are 1-d arrays of one
+    length."""
 
     rho12: float
     rho13: float
@@ -80,25 +86,43 @@ class QuadrantCorr:
     rho24: float
     rho34: float
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[0, 1] = m[1, 0] = self.rho12
-        m[0, 2] = m[2, 0] = self.rho13
-        m[0, 3] = m[3, 0] = self.rho14
-        m[1, 2] = m[2, 1] = self.rho23
-        m[1, 3] = m[3, 1] = self.rho24
-        m[2, 3] = m[3, 2] = self.rho34
-        return m
+    def values(self) -> np.ndarray:
+        """The correlations in field order, shape (6,) or (sets, 6)."""
+        return np.array(list(self.__dict__.values()), float).T
 
-    def validate(self):
-        # written so that NaN fails the range test
-        if not all(abs(v) <= 1.0 for v in self.__dict__.values()):
-            raise DomainError("correlations must lie in [-1, 1]")
-        emin = float(np.linalg.eigvalsh(self.matrix()).min())
-        if emin < _PSD_TOL:
-            raise DomainError(
-                f"correlation matrix not positive semidefinite (min eig {emin:.2e})")
-        return self
+    def matrix(self) -> np.ndarray:
+        """The correlation matrix, shape (4, 4) or (sets, 4, 4)."""
+        v = self.values()
+        ext = np.empty(v.shape[:-1] + (7,))
+        ext[..., 0] = 1.0
+        ext[..., 1:] = v
+        return ext[..., _GATHER].reshape(v.shape[:-1] + (4, 4))
+
+
+def _check_quadrant(c: QuadrantCorr, what: str) -> None:
+    """Refuse correlations outside [-1, 1] (NaN included), a matrix that
+    is not positive semidefinite, and |rho34| within _RHO34_GUARD of 1,
+    where ``what`` (the closed form or the series) divides by
+    sqrt(1 - rho34^2).  On array fields it raises the error of the first
+    set that fails, the one a loop of scalar calls would raise."""
+    v = c.values()
+    in_range = (np.abs(v) <= 1.0).all(axis=-1)
+    m = c.matrix()
+    if not in_range.all():  # eigvalsh gets the identity for a refused set
+        m = np.where(in_range[..., None, None], m, np.eye(4))
+    emin = np.linalg.eigvalsh(m).min(axis=-1)
+    r34 = np.abs(v[..., 5])
+    bad = ~in_range | (emin < _PSD_TOL) | (r34 > 1.0 - _RHO34_GUARD)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if not in_range.flat[i]:
+        raise DomainError("correlations must lie in [-1, 1]")
+    if emin.flat[i] < _PSD_TOL:
+        raise DomainError("correlation matrix not positive semidefinite "
+                          f"(min eig {float(emin.flat[i]):.2e})")
+    raise SingularityError(
+        f"|rho34| = {float(r34.flat[i])} too close to 1 for the {what}")
 
 
 def quadrant_closed(r12, r13, r14, r23, r24, r34):
@@ -114,16 +138,16 @@ def quadrant_closed(r12, r13, r14, r23, r24, r34):
 
 
 def quadrant_expectation(c: QuadrantCorr) -> float:
-    """E[X1 X2 1{X3>0} 1{X4>0}] in closed form (module docstring)."""
-    c.validate()
-    if abs(c.rho34) > 1.0 - _RHO34_GUARD:
-        raise SingularityError(
-            f"|rho34| = {abs(c.rho34)} too close to 1 for the closed form")
+    """E[X1 X2 1{X3>0} 1{X4>0}] in closed form (module docstring),
+    elementwise on array fields."""
+    _check_quadrant(c, "closed form")
     return quadrant_closed(c.rho12, c.rho13, c.rho14, c.rho23, c.rho24, c.rho34)
 
 
 def quadrant_expectation_series(c: QuadrantCorr, order: int = 80) -> float:
-    """Diagram-formula series for the quadrant expectation.
+    """Diagram-formula series for the quadrant expectation, elementwise on
+    array fields: one pass over the orders serves every set, each set
+    getting the bits a scalar call gives it.
 
     Grouped by powers of rho34; ``order`` counts how many indicator-coefficient
     terms each constituent sum keeps (powers of rho34 up to 2*order + 1),
@@ -133,10 +157,7 @@ def quadrant_expectation_series(c: QuadrantCorr, order: int = 80) -> float:
     b_j/((2j+1) 2 pi) (with arcsin limit), b_j/(2 pi) (inverse square root)
     and -b_j/(2 pi) (exchange).
     """
-    c.validate()
-    if abs(c.rho34) > 1.0 - _RHO34_GUARD:
-        raise SingularityError(
-            f"|rho34| = {abs(c.rho34)} too close to 1 for the series")
+    _check_quadrant(c, "series")
     if order < 0:
         raise ParameterError("order must be nonnegative")
     x = c.rho34
@@ -145,13 +166,15 @@ def quadrant_expectation_series(c: QuadrantCorr, order: int = 80) -> float:
     twopi = 2.0 * math.pi
     total = c.rho12 / 4.0 + direct / twopi  # power-0 terms
     b = 1.0
+    # float_power is the C library's pow on arrays and scalars alike;
+    # np.power's SIMD loop for float arrays differs in the last bits
     for j in range(order + 1):
-        xodd = x ** (2 * j + 1)
+        xodd = np.float_power(x, 2 * j + 1)
         total += c.rho12 * b / ((2 * j + 1) * twopi) * xodd
         total -= exchange * b / twopi * xodd
         bnext = b * (2 * j + 1) / (2 * j + 2)
         if j < order:
-            total += direct * bnext / twopi * x ** (2 * j + 2)
+            total += direct * bnext / twopi * np.float_power(x, 2 * j + 2)
         b = bnext
     return total
 

@@ -400,7 +400,7 @@ def _var_i4_spectral(model):
     """Convolution form of the fourth-chaos limit:
     (1/4pi) * 2pi * int [ (f1~*3)(lam) lam^2 f2~ + (f2~*3)(lam) lam^2 f1~ ],
     with fi~ the symmetric extension fi(|lam|)/2 on 4001 points of
-    [-12, 12]."""
+    [-12, 12]; an iid model (f2 is f1) convolves once."""
     lam = np.linspace(-12.0, 12.0, 4001)
     dlam = lam[1] - lam[0]
     f1 = 0.5 * np.asarray(model.f1(np.abs(lam)), float)
@@ -410,7 +410,9 @@ def _var_i4_spectral(model):
         c2 = np.convolve(f, f, mode="same") * dlam
         return np.convolve(c2, f, mode="same") * dlam
 
-    integrand = conv3(f1) * lam ** 2 * f2 + conv3(f2) * lam ** 2 * f1
+    conv1 = conv3(f1)
+    conv2 = conv1 if model.f2 is model.f1 else conv3(f2)
+    integrand = conv1 * lam ** 2 * f2 + conv2 * lam ** 2 * f1
     return float(np.trapezoid(integrand, lam) * 2.0 * math.pi / (4.0 * math.pi))
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from conftest import gauss_hermite_2d
 from windlab import harness
 from windlab.covmodel import bargmann_fock, make_independent_model
 from windlab.errors import (CapabilityError, DegenerateConditioningError,
-                            DomainError, ParameterError, SingularityError)
+                            DomainError, ParameterError, SingularityError,
+                            WindlabError)
 from windlab.gauss import (QuadrantCorr, chaos_coefficients,
                            conditional_cov, dirac_coefficients,
                            generic_regression, g_norm_sq, joint_cov_matrix,
@@ -192,6 +195,38 @@ class TestQuadrantSeries:
                                    - quadrant_expectation_series(c, 80)))
         assert worst < 1e-12
 
+    def test_batched_sets_match_scalar_calls_bitwise(self):
+        # the sets of `windlab check` at the default seed and at the
+        # far-tail seed of test_series_gate_holds_on_a_far_tail_seed
+        for seed in (1, 1474850610):
+            rng = np.random.default_rng(seed)
+            sets = [random_psd_quadrant(rng) for _ in range(500)]
+            batch = QuadrantCorr(*np.array([c.values() for c in sets]).T)
+            assert np.array_equal(
+                quadrant_expectation_series(batch, 160),
+                [quadrant_expectation_series(c, 160) for c in sets])
+            assert np.array_equal(quadrant_expectation(batch),
+                                  [quadrant_expectation(c) for c in sets])
+
+    @pytest.mark.parametrize("bad", [
+        (0.9, 0.9, 0.0, 0.0, 0.0, -0.9),   # not PSD
+        (0.5, 0.0, 0.0, 0.0, 0.0, math.nan),
+        (1.5, 0.0, 0.0, 0.0, 0.0, 0.2),
+        (0.1, 0.0, 0.0, 0.0, 0.0, 0.9999999)],  # inside the rho34 guard
+        ids=["non-psd", "nan", "out-of-range", "rho34-guard"])
+    def test_batched_sets_raise_the_first_bad_sets_error(self, bad):
+        # a later set that fails an earlier test must not take precedence
+        good = (0.3, 0.2, 0.1, 0.1, 0.2, 0.4)
+        later_bad = (2.0, 0.0, 0.0, 0.0, 0.0, math.nan)
+        rows = np.array([good, bad, later_bad, good])
+        for f in (quadrant_expectation,
+                  lambda c: quadrant_expectation_series(c, 20)):
+            with pytest.raises(WindlabError) as scalar:
+                for row in rows:
+                    f(QuadrantCorr(*row))
+            with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+                f(QuadrantCorr(*rows.T))
+
     def test_small_rho34_expansion(self):
         # with the exchange product zeroed out, the leading expansion is
         # rho12/4 + (rho12 rho34 + rho13 rho24 + rho14 rho23)/(2 pi) + O(rho34^2)
@@ -205,7 +240,49 @@ class TestQuadrantSeries:
         assert max(ratios) < 1.0  # bounded remainder/rho34^2
 
 
+def _quadrant_mc_one_expression(c, n_samples, seed, chunk):
+    """quadrant_mc with the integrand as one expression per chunk, which
+    allocates its temporaries: the reference the in-place loop must match
+    bit for bit."""
+    r = c.matrix()
+    chol = np.linalg.cholesky(r[2:, 2:])
+    w = np.linalg.solve(chol, r[2:, :2])
+    s12 = float((r[:2, :2] - w.T @ w)[0, 1])
+    s_lo = math.tan(0.5 * math.atan2(-chol[1, 0], chol[1, 1]))
+    width = 1.0 - s_lo
+    k = width / math.pi
+    (w11, w12), (w21, w22) = w
+    e0 = k * (2.0 * w11 * w12 + s12)
+    e1 = k * 4.0 * (w11 * w22 + w21 * w12)
+    e2 = k * (2.0 * s12 - 4.0 * w11 * w12 + 8.0 * w21 * w22)
+    rng = np.random.default_rng(seed)
+    tot = tot2 = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        s = s_lo + width * rng.random(m)
+        d = 1.0 + s * s
+        y = ((((e0 * s - e1) * s + e2) * s + e1) * s + e0) / (d * d * d)
+        tot += float(y.sum())
+        tot2 += float(np.einsum("i,i->", y, y))
+        done += m
+    mean = tot / n_samples
+    return mean, math.sqrt(max(tot2 / n_samples - mean ** 2, 0.0) / n_samples)
+
+
 class TestQuadrantMC:
+    @pytest.mark.parametrize("chunk", [1000, 3000, 1 << 14])
+    def test_in_place_loop_matches_one_expression_bitwise(self, monkeypatch, chunk):
+        monkeypatch.setattr(harness, "_QMC_CHUNK", chunk)
+        rng = np.random.default_rng(12)
+        cases = [random_psd_quadrant(rng) for _ in range(3)]
+        cases += [c for c, _ in DEGENERATE_PAIRS[:1]]
+        for i, c in enumerate(cases):
+            # a multiple of the chunk, a ragged last chunk, one short chunk
+            for n in (3 * chunk, 2 * chunk + 777, chunk - 1):
+                assert (quadrant_mc(c, n, seed=80 + i)
+                        == _quadrant_mc_one_expression(c, n, 80 + i, chunk))
+
     def test_conditional_se_at_most_plain_se(self):
         # the plain four-normal product, kept here only as the reference
         # the conditional estimator must not lose to at the same n
@@ -281,6 +358,17 @@ class TestQuadrantMC:
         for i, (c, expect) in enumerate(DEGENERATE_PAIRS):
             mc, se = quadrant_mc(c, 400_000, seed=60 + i)
             assert abs(mc - expect) <= 4.0 * se
+
+    @pytest.mark.parametrize("field", ["rho12", "rho34"])
+    def test_nan_correlation_raises_before_drawing(self, monkeypatch, field):
+        def no_draws(seed):
+            raise AssertionError("drew before checking the correlations")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        c = dataclasses.replace(QuadrantCorr(0.3, 0.2, 0.1, 0.1, 0.2, 0.4),
+                                **{field: math.nan})
+        with pytest.raises(DomainError, match=field):
+            quadrant_mc(c, 100, seed=1)
 
     def test_singular_block_raises(self):
         with pytest.raises(SingularityError):

@@ -354,6 +354,52 @@ class TestLemmaCheck:
         assert not rep["result"]["checks"]["closed_vs_series"]["pass"]
         assert not rep["result"]["checks"]["closed_vs_mc"]["pass"]
 
+    def test_series_mutation_detected(self, monkeypatch):
+        # the series without its exchange sum, on the batch of all random
+        # sets: only the closed-form-vs-series suite can see it
+        def no_exchange(c: QuadrantCorr, order):
+            x = c.rho34
+            direct = c.rho13 * c.rho24 + c.rho14 * c.rho23
+            total = c.rho12 / 4.0 + direct / (2 * math.pi)
+            b = 1.0
+            for j in range(order + 1):
+                total = total + c.rho12 * b / ((2 * j + 1) * 2 * math.pi) * x ** (2 * j + 1)
+                bnext = b * (2 * j + 1) / (2 * j + 2)
+                if j < order:
+                    total = total + direct * bnext / (2 * math.pi) * x ** (2 * j + 2)
+                b = bnext
+            return total
+
+        monkeypatch.setattr(harness, "quadrant_expectation_series", no_exchange)
+        rep = run_lemma_check(self._cfg())
+        assert not rep["pass"]
+        assert not rep["result"]["checks"]["closed_vs_series"]["pass"]
+        assert rep["result"]["checks"]["closed_vs_mc"]["pass"]
+
+    def test_one_series_call_and_one_conditional_cov_call_per_model(self, monkeypatch):
+        calls = {"series": [], "conditional_cov": 0}
+        series, ccov = harness.quadrant_expectation_series, harness.conditional_cov
+
+        def counted_series(c, order):
+            calls["series"].append(np.shape(c.rho34))
+            return series(c, order)
+
+        def counted_ccov(model, t):
+            calls["conditional_cov"] += 1
+            return ccov(model, t)
+
+        monkeypatch.setattr(harness, "quadrant_expectation_series", counted_series)
+        monkeypatch.setattr(harness, "conditional_cov", counted_ccov)
+        assert run_lemma_check(self._cfg())["pass"]
+        assert calls == {"series": [(40,)], "conditional_cov": 3}
+
+    def test_no_random_sets(self):
+        cfg = small_cfg(kind="lemma_check", lemma_random_sets=0,
+                        lemma_spot_cases=1, lemma_mc_samples=1000)
+        series = run_lemma_check(cfg)["result"]["checks"]["closed_vs_series"]
+        assert series == {"sets": 0, "max_abs_diff": 0.0, "tolerance": 1e-10,
+                          "pass": True}
+
     def test_zero_se_fails_unless_exact(self, monkeypatch):
         # X1 and X2 uncorrelated with each other and with (X3, X4): every
         # sample is exactly 0, so mc = 0 with se = 0, which must not read

@@ -312,6 +312,21 @@ class TestChaosProjections:
         assert out["var_I4_agreement"] < 1e-6
         assert out["var_I2_limit"] + out["var_I4_limit"] > 0.0
 
+    def test_iid_spectral_fourth_chaos_convolves_once(self, iid_bf, monkeypatch):
+        # an equal f2 under another name takes the two-convolution path
+        twin = replace(iid_bf, f2=lambda lam: iid_bf.f2(lam))
+        convolve, calls = np.convolve, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", counted)
+        once = moments._var_i4_spectral(iid_bf)
+        assert len(calls) == 2
+        assert moments._var_i4_spectral(twin) == once
+        assert len(calls) == 6
+
     def test_rough_x1_skips_fourth_chaos(self, ou_bf):
         out = chaos_projection_variances(ou_bf)
         assert "var_I4_limit" not in out
