@@ -29,7 +29,8 @@ from .moments import (MomentReport, chaos_projection_variances,
                       variance_rate_general, variance_rate_independent,
                       variance_WT_route)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec, SamplePath,
-                      export_path_csv, load_path_csv, smooth_path)
+                      SmoothingLadder, export_path_csv, load_path_csv,
+                      smooth_path)
 from .winding import (SmoothedWinding, WindingResult, count_windings,
                       count_windings_arrays, smoothed_winding)
 

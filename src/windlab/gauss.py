@@ -30,6 +30,7 @@ __all__ = [
     "orthant_angle",
     "QuadrantCorr",
     "quadrant_closed",
+    "quadrant_fault",
     "quadrant_expectation",
     "quadrant_expectation_series",
     "ConditionalCov",
@@ -99,12 +100,13 @@ class QuadrantCorr:
         return ext[..., _GATHER].reshape(v.shape[:-1] + (4, 4))
 
 
-def _check_quadrant(c: QuadrantCorr, what: str) -> None:
-    """Refuse correlations outside [-1, 1] (NaN included), a matrix that
-    is not positive semidefinite, and |rho34| within _RHO34_GUARD of 1,
-    where ``what`` (the closed form or the series) divides by
-    sqrt(1 - rho34^2).  On array fields it raises the error of the first
-    set that fails, the one a loop of scalar calls would raise."""
+def quadrant_fault(c: QuadrantCorr, what: str):
+    """The (index, error) of the first set of ``c`` (index 0 for scalar
+    fields) that is refused, or None when every set is valid.  Refused
+    are correlations outside [-1, 1] (NaN included), a matrix that is not
+    positive semidefinite, and |rho34| within _RHO34_GUARD of 1, where
+    ``what`` (the closed form or the series) divides by sqrt(1 - rho34^2).
+    The error is the one a scalar check of that set gives."""
     v = c.values()
     in_range = (np.abs(v) <= 1.0).all(axis=-1)
     m = c.matrix()
@@ -114,15 +116,22 @@ def _check_quadrant(c: QuadrantCorr, what: str) -> None:
     r34 = np.abs(v[..., 5])
     bad = ~in_range | (emin < _PSD_TOL) | (r34 > 1.0 - _RHO34_GUARD)
     if not bad.any():
-        return
+        return None
     i = int(np.argmax(bad))
     if not in_range.flat[i]:
-        raise DomainError("correlations must lie in [-1, 1]")
+        return i, DomainError("correlations must lie in [-1, 1]")
     if emin.flat[i] < _PSD_TOL:
-        raise DomainError("correlation matrix not positive semidefinite "
-                          f"(min eig {float(emin.flat[i]):.2e})")
-    raise SingularityError(
+        return i, DomainError("correlation matrix not positive semidefinite "
+                              f"(min eig {float(emin.flat[i]):.2e})")
+    return i, SingularityError(
         f"|rho34| = {float(r34.flat[i])} too close to 1 for the {what}")
+
+
+def _check_quadrant(c: QuadrantCorr, what: str) -> None:
+    """Raise the error of the first set that ``quadrant_fault`` refuses."""
+    fault = quadrant_fault(c, what)
+    if fault is not None:
+        raise fault[1]
 
 
 def quadrant_closed(r12, r13, r14, r23, r24, r34):

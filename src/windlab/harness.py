@@ -33,11 +33,12 @@ from .errors import (AliasingError, ConfigError, DomainError, ParameterError,
                      SingularityError, WindlabError)
 from .gauss import (_PSD_TOL, QuadrantCorr, conditional_cov,
                     generic_regression, joint_cov_matrix,
-                    quadrant_expectation, quadrant_expectation_series)
+                    quadrant_expectation, quadrant_expectation_series,
+                    quadrant_fault)
 from .moments import (expectation_rate, variance_bound_two_alpha,
                       variance_rate_general, variance_rate_independent)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec,
-                      SamplePath, export_path_csv, kernel_half_width)
+                      SamplePath, SmoothingLadder, export_path_csv)
 from .winding import count_windings_arrays, smoothed_winding
 
 __all__ = [
@@ -568,7 +569,9 @@ def _builtin_differentiable_models():
 
 def _load_correlations(path) -> np.ndarray:
     """The (rows, 6) array of rho12,rho13,rho14,rho23,rho24,rho34 rows of a
-    correlations file; anything else is a ConfigError naming the file."""
+    correlations file, every row valid for the closed form and the series;
+    anything else is a ConfigError naming the file and, for a refused row,
+    its 1-based number among the data rows and the reason."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "no data": refused below
@@ -580,6 +583,10 @@ def _load_correlations(path) -> np.ndarray:
             f"correlations_file {path}: need at least one row of exactly 6 "
             f"numbers (rho12,rho13,rho14,rho23,rho24,rho34), got "
             f"{data.shape[0]} rows of {data.shape[1]}")
+    fault = quadrant_fault(QuadrantCorr(*data.T), "closed form and series")
+    if fault is not None:
+        i, err = fault
+        raise ConfigError(f"correlations_file {path}: row {i + 1}: {err}")
     return data
 
 
@@ -636,15 +643,11 @@ def run_lemma_check(cfg: ExperimentConfig) -> dict:
         rows = []
         for row in file_corrs:
             c = QuadrantCorr(*map(float, row))
-            try:
-                cf = quadrant_expectation(c)
-                sr = quadrant_expectation_series(c, _SERIES_ORDER)
-                rows.append({"corr": list(map(float, row)), "closed": cf,
-                             "series": sr, "abs_diff": abs(cf - sr),
-                             "pass": bool(abs(cf - sr) < 1e-10)})
-            except WindlabError as e:
-                rows.append({"corr": list(map(float, row)),
-                             "error": str(e), "pass": False})
+            cf = quadrant_expectation(c)
+            sr = quadrant_expectation_series(c, _SERIES_ORDER)
+            rows.append({"corr": list(map(float, row)), "closed": cf,
+                         "series": sr, "abs_diff": abs(cf - sr),
+                         "pass": bool(abs(cf - sr) < 1e-10)})
         checks["file_rows"] = rows
 
     ok = all(v["pass"] for k, v in checks.items() if isinstance(v, dict) and "pass" in v)
@@ -668,12 +671,13 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     eps = [float(e) for e in cfg.epsilon_ladder]
     (T,) = cfg.t_ladder
     grid = GridSpec.from_dt(T, cfg.dt)
-    for e in eps:  # an unresolvable ladder exits before the costly bound
-        kernel_half_width(grid, e)
+    # an unresolvable ladder exits before the costly bound; the one ladder
+    # (read-only kernel spectra) serves every path and worker thread
+    ladder = SmoothingLadder(grid, eps)
     bound = variance_bound_two_alpha(model, eps)  # raises HypothesisError early
     sampler = _make_sampler(model, grid, cfg.backend)
     res = _map_paths(sampler, cfg.seed, cfg.replications, cfg.workers,
-                     lambda x1, x2: smoothed_winding(SamplePath(grid, x1, x2), eps))
+                     lambda x1, x2: smoothed_winding(SamplePath(grid, x1, x2), ladder))
     n_w = np.array([[np.nan] * len(eps) if r is None else [x.n_w for x in r.results]
                     for r in res], dtype=float)
     stabilized = np.array([r is not None and r.stabilized for r in res], dtype=bool)

@@ -27,7 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import AliasingError, ParameterError
-from .pathgen import SamplePath, smooth_path
+# smooth_path is not called here: the benchmark tracer (perfbench/tracer.py)
+# patches winding.smooth_path under --trace 1 and fails on a missing name
+from .pathgen import SamplePath, SmoothingLadder, smooth_path  # noqa: F401
 
 __all__ = [
     "WindingResult",
@@ -124,13 +126,23 @@ class SmoothedWinding:
 def smoothed_winding(path: SamplePath, epsilon_sequence) -> SmoothedWinding:
     """Count the windings of (x1, smooth(x2, eps)) along a decreasing
     epsilon ladder; report the first index from which n_w stays constant
-    (None when the ladder never settles or has a single entry)."""
-    eps = [float(e) for e in epsilon_sequence]
-    if not eps:
-        raise ParameterError("epsilon_sequence must be non-empty")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ParameterError("epsilon_sequence must be strictly decreasing")
-    results = tuple(count_windings(smooth_path(path, e)) for e in eps)
+    (None when the ladder never settles or has a single entry).
+
+    ``epsilon_sequence`` is a sequence of epsilons, for which a
+    ``SmoothingLadder`` is built on ``path.grid`` (so the ladder's
+    ParameterError and ResolutionError come first), or a ladder already
+    built on that grid, which many paths can share; a ladder built on
+    another grid raises ParameterError.  Each smoothed row is counted by
+    ``count_windings_arrays``."""
+    if isinstance(epsilon_sequence, SmoothingLadder):
+        ladder = epsilon_sequence
+        if ladder.grid != path.grid:
+            raise ParameterError(f"smoothing ladder built on {ladder.grid}, "
+                                 f"path on {path.grid}")
+    else:
+        ladder = SmoothingLadder(path.grid, epsilon_sequence)
+    results = tuple(count_windings_arrays(path.x1, row)
+                    for row in ladder.smooth(path.x2))
     stab = None
     if len(results) >= 2:
         final = results[-1].n_w
@@ -140,5 +152,5 @@ def smoothed_winding(path: SamplePath, epsilon_sequence) -> SmoothedWinding:
                 break
         if stab is not None and stab == len(results) - 1:
             stab = None  # only the last entry matches: not assessable
-    return SmoothedWinding(epsilons=tuple(eps), results=results,
+    return SmoothedWinding(epsilons=ladder.epsilons, results=results,
                            stabilization_index=stab)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from windlab.covmodel import (bargmann_fock, make_iid_model,
+from windlab.covmodel import (alpha_family, bargmann_fock, make_iid_model,
                               make_independent_model, make_regression_model,
                               ornstein_uhlenbeck)
+from windlab.pathgen import bump_kernel, kernel_half_width
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +20,25 @@ def ou_bf():
 @pytest.fixture(scope="session")
 def regression03():
     return make_regression_model(bargmann_fock(), bargmann_fock(), 0.3)
+
+
+@pytest.fixture(scope="session")
+def alpha12():
+    """Independent alpha = 1.2 coordinates, the shipped smoothing model."""
+    return make_independent_model(alpha_family(1.2), alpha_family(1.2))
+
+
+def convolve_smooth(x2, grid, epsilon):
+    """x2 smoothed at epsilon by direct convolution (independent oracle for
+    pathgen.SmoothingLadder): reflect the path at both ends by the kernel's
+    half-width, then take the "valid" part of np.convolve with the
+    mass-normalized bump sampled on the grid."""
+    half = kernel_half_width(grid, epsilon)
+    u = np.arange(-half, half + 1) * grid.dt / epsilon
+    w = bump_kernel(u)
+    w = w / w.sum()
+    padded = np.concatenate([x2[half:0:-1], x2, x2[-2:-half - 2:-1]])
+    return np.convolve(padded, w, mode="valid")
 
 
 def gauss_hermite_2d(func, rho, n=120):

@@ -429,26 +429,36 @@ class TestLemmaCheck:
         series = run_lemma_check(cfg)["result"]["checks"]["closed_vs_series"]
         assert series["pass"] and series["max_abs_diff"] < 1e-10
 
-    def test_correlation_file_rows(self, tmp_path):
+    def test_correlation_file_rows(self, tmp_path, monkeypatch):
+        good = ["0.5,0,0,0,0,0",          # independent pair
+                "0.0,0.2,0.0,0.0,0.1,0.3"]
         f = tmp_path / "corr.csv"
-        rows = ["0.5,0,0,0,0,0",          # independent pair
-                "0.0,0.2,0.0,0.0,0.1,0.3",
-                "0.9,0.9,0.0,0.0,0.0,-0.9",  # not PSD
-                "0.5,0,0,0,0,nan"]  # NaN fails the range test, like inf
-        f.write_text("\n".join(rows) + "\n")
+        f.write_text("\n".join(good) + "\n")
         cfg = self._cfg()
         cfg.correlations_file = str(f)
-        rep = run_lemma_check(cfg)
-        file_rows = rep["result"]["checks"]["file_rows"]
-        assert file_rows[0]["pass"] and file_rows[1]["pass"]
-        assert not file_rows[2]["pass"] and "error" in file_rows[2]
-        assert not file_rows[3]["pass"] and "[-1, 1]" in file_rows[3]["error"]
+        file_rows = run_lemma_check(cfg)["result"]["checks"]["file_rows"]
+        assert [r["pass"] for r in file_rows] == [True, True]
+        # a refused row is a ConfigError naming the file, the first bad
+        # data row (1-based; the comment line does not count) and the
+        # reason, raised before any suite draws a set
+        monkeypatch.setattr(harness, "random_psd_quadrant",
+                            lambda rng: pytest.fail("a suite ran"))
+        for bad, reason in (("0.5,0,0,0,0,nan", r"\[-1, 1\]"),  # NaN fails the range test
+                            ("1.5,0,0,0,0,0.2", r"\[-1, 1\]"),
+                            ("0.9,0.9,0.0,0.0,0.0,-0.9", "not positive semidefinite"),
+                            ("0,0,0,0,0,0.9999999", "too close to 1")):
+            f.write_text("# rho12,rho13,rho14,rho23,rho24,rho34\n"
+                         + "\n".join(good + [bad, "1.5,0,0,0,0,0"]) + "\n")
+            with pytest.raises(ConfigError,
+                               match=f"correlations_file {f}: row 3: .*{reason}"):
+                run_lemma_check(cfg)
 
     @pytest.mark.parametrize("text", [
         "0.5,0,0,0,0\n", "0.5,0,0,0,0,0,0.1\n", "0.5,0,0,0,0,0\n0.5,0,0\n",
-        "rho12,rho13,rho14,rho23,rho24,rho34\n", "", "# a comment only\n"],
+        "rho12,rho13,rho14,rho23,rho24,rho34\n", "", "# a comment only\n",
+        "0.5,0,0,0,0,0\n0.5,0,0,0,0,nan\n"],
         ids=["five-columns", "seven-columns", "ragged", "not-numbers", "empty",
-             "comment-only"])
+             "comment-only", "nan-row"])
     def test_bad_correlation_file_exits_2(self, tmp_path, capsys, text):
         from windlab import cli
         f = tmp_path / "corr.csv"

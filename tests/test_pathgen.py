@@ -10,8 +10,10 @@ from windlab import pathgen
 from windlab.covmodel import bargmann_fock, make_regression_model, ornstein_uhlenbeck
 from windlab.errors import ModelError, ParameterError, ResolutionError
 from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
-                             SamplePath, bump_kernel, export_path_csv,
-                             load_path_csv, smooth_path)
+                             SamplePath, SmoothingLadder, bump_kernel,
+                             export_path_csv, load_path_csv, smooth_path)
+
+from conftest import convolve_smooth
 
 
 class TestGridSpec:
@@ -498,6 +500,64 @@ class TestSmoothing:
         sm = smooth_path(p, 0.5)
         assert np.allclose(sm.x2, 2.7, atol=1e-12)
         assert np.array_equal(sm.x1, p.x1)
+        rows = SmoothingLadder(grid, [2.0, 0.5, 0.1]).smooth(p.x2)
+        assert rows.shape == (3, grid.n)
+        assert np.max(np.abs(rows - 2.7)) <= 1e-12
+
+    def test_ladder_matches_convolution(self, alpha12):
+        # the shipped ladder on alpha = 1.2 paths at the shipped grid
+        grid = GridSpec.from_dt(50.0, 0.01)
+        eps = [0.4, 0.2, 0.1, 0.05]
+        ladder = SmoothingLadder(grid, eps)
+        for x1, x2 in CirculantSampler(alpha12, grid).sample_batch(5, range(6)):
+            rows = ladder.smooth(x2)
+            tol = 1e-13 * np.max(np.abs(x2))
+            for e, row in zip(eps, rows):
+                assert np.max(np.abs(row - convolve_smooth(x2, grid, e))) <= tol, e
+
+    def test_ladder_widest_and_narrowest_kernels(self, alpha12):
+        # half-width n - 1 (the whole path reflected) and epsilon = 2 dt
+        grid = GridSpec.from_dt(1.0, 0.01)
+        eps = [1.0, 0.5, 2.0 * grid.dt]
+        ladder = SmoothingLadder(grid, eps)
+        assert ladder.pad == grid.n - 1
+        x2 = CirculantSampler(alpha12, grid).sample(2).x2
+        rows = ladder.smooth(x2)
+        for e, row in zip(eps, rows):
+            assert np.max(np.abs(row - convolve_smooth(x2, grid, e))) <= (
+                1e-13 * np.max(np.abs(x2))), e
+
+    def test_one_rung_ladder_is_smooth_path(self, alpha12):
+        grid = GridSpec.from_dt(10.0, 0.01)
+        p = CirculantSampler(alpha12, grid).sample(3)
+        for e in (0.4, 0.05):
+            (row,) = SmoothingLadder(grid, [e]).smooth(p.x2)
+            assert np.array_equal(row, smooth_path(p, e).x2)
+
+    def test_ladder_validation_order(self):
+        grid = GridSpec.from_dt(1.0, 0.01)
+        with pytest.raises(ParameterError, match="non-empty"):
+            SmoothingLadder(grid, [])
+        # not decreasing, and 0.01 < 2 dt: the order is refused first
+        with pytest.raises(ParameterError, match="strictly decreasing"):
+            SmoothingLadder(grid, [0.01, 0.4])
+        # the first epsilon the grid cannot hold is the one named
+        with pytest.raises(ResolutionError, match="epsilon = 2 spans"):
+            SmoothingLadder(grid, [2.0, 0.01])
+        with pytest.raises(ResolutionError, match="epsilon = 0.01 below"):
+            SmoothingLadder(grid, [0.5, 0.01])
+
+    def test_ladder_spectra_read_only(self):
+        ladder = SmoothingLadder(GridSpec.from_dt(5.0, 0.01), [0.4, 0.1])
+        with pytest.raises(ValueError, match="read-only"):
+            ladder.spectra[0, 0] = 1.0
+
+    def test_ladder_refuses_x2_off_its_grid(self):
+        grid = GridSpec.from_dt(5.0, 0.01)
+        ladder = SmoothingLadder(grid, [0.4, 0.1])
+        for x2 in (np.zeros(grid.n - 1), np.zeros(grid.n + 300), np.zeros((2, grid.n))):
+            with pytest.raises(ParameterError, match="grid of 501 points"):
+                ladder.smooth(x2)
 
     def test_smooth_path_converges_on_smooth_input(self, iid_bf):
         p = CirculantSampler(iid_bf, GridSpec.from_dt(10.0, 0.01)).sample(6)

@@ -7,9 +7,12 @@ import pytest
 
 from windlab.errors import AliasingError, ParameterError, ResolutionError
 from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
-                             SamplePath, export_path_csv, load_path_csv)
+                             SamplePath, SmoothingLadder, export_path_csv,
+                             load_path_csv)
 from windlab.winding import (count_windings, count_windings_arrays,
                              smoothed_winding)
+
+from conftest import convolve_smooth
 
 
 def circle_path(turns, T, dt, orientation=1):
@@ -167,6 +170,38 @@ class TestSmoothedWinding:
         res = smoothed_winding(p, [0.1, 0.05, 0.025])
         assert all(r.n_w == base for r in res.results)
         assert res.stabilization_index == 0
+
+    def test_epsilon_list_and_prebuilt_ladder_agree(self):
+        p = self._rough_path(seed=7)
+        eps = [0.4, 0.2, 0.1, 0.05]
+        from_list = smoothed_winding(p, eps)
+        assert smoothed_winding(p, SmoothingLadder(p.grid, eps)) == from_list
+        assert from_list.epsilons == tuple(eps)
+
+    def test_ladder_on_another_grid_refused(self):
+        p = self._rough_path()
+        for grid in (GridSpec.from_dt(20.0, 0.01), GridSpec.from_dt(30.0, 0.02)):
+            with pytest.raises(ParameterError, match="ladder built on"):
+                smoothed_winding(p, SmoothingLadder(grid, [0.4, 0.2]))
+
+    def test_ladder_counts_equal_convolution_counts(self, alpha12):
+        # every count made through the FFT ladder equals the count on the
+        # directly convolved path, on 200 paths of the shipped workload size
+        grid = GridSpec.from_dt(50.0, 0.01)
+        eps = [0.4, 0.2, 0.1, 0.05]
+        ladder = SmoothingLadder(grid, eps)
+
+        def outcome(x1, x2):
+            try:
+                return count_windings_arrays(x1, x2).n_w
+            except AliasingError:
+                return None
+
+        got, want = [], []
+        for x1, x2 in CirculantSampler(alpha12, grid).sample_batch(29, range(200)):
+            got += [outcome(x1, row) for row in ladder.smooth(x2)]
+            want += [outcome(x1, convolve_smooth(x2, grid, e)) for e in eps]
+        assert len(got) == 800 and got == want
 
     def test_rough_path_ladder_runs(self):
         res = smoothed_winding(self._rough_path(seed=12), [0.4, 0.2, 0.1, 0.05])
