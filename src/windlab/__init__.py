@@ -25,7 +25,7 @@ from .harness import (ExperimentConfig, run_clt, run_expectation,
                       run_lemma_check, run_smoothing, run_variance,
                       simulate_windings, write_report)
 from .moments import (MomentReport, chaos_projection_variances,
-                      expectation_rate, var_I1, variance_bound_two_alpha,
+                      expectation_rate, variance_bound_two_alpha,
                       variance_rate_general, variance_rate_independent,
                       variance_WT_route)
 from .pathgen import (CholeskySampler, CirculantSampler, GridSpec, SamplePath,

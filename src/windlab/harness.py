@@ -12,6 +12,10 @@ the grid of its longest horizon and draws each stream once: every
 horizon of ``t_ladder`` is counted on a prefix of the same paths, so the
 rows of a multi-horizon report are correlated and all carry the longest
 horizon's sampler diagnostics.
+
+A run keeps counts, not result objects: one preallocated float table
+(``_map_paths``), a row per path, NaN where the aliasing guard rejected
+it.  The counter's ``agreement`` flag is not kept.
 """
 from __future__ import annotations
 
@@ -179,29 +183,31 @@ def _check_grid(cfg):
     _SAMPLERS[cfg.backend].check_grid(GridSpec.from_dt(cfg.t_ladder[-1], cfg.dt))
 
 
-def _map_paths(sampler, seed, reps, workers, fn):
-    """fn(x1, x2) for the paths of streams 0..reps-1, None where the
-    aliasing guard rejected a path.  Each chunk is one sample_batch call
-    holding about _CHUNK_BYTES of paths; chunks run on ``workers``
-    threads."""
+def _map_paths(sampler, seed, reps, workers, fn, width):
+    """A (reps, width) float table whose row s is fn(x1, x2) on the path of
+    stream s, left NaN where the aliasing guard rejected that path.  Each
+    chunk is one sample_batch call holding about _CHUNK_BYTES of paths and
+    writes only its own rows, so chunks run on any of ``workers`` threads
+    and nothing per path outlives its chunk."""
     per = max(1, _CHUNK_BYTES // (16 * sampler.grid.n))
-    chunks = [list(range(i, min(i + per, reps))) for i in range(0, reps, per)]
+    table = np.full((reps, width), np.nan)
 
-    def do_chunk(streams):
-        out = []
-        for x1, x2 in sampler.sample_batch(seed, streams):
+    def do_chunk(start):
+        streams = range(start, min(start + per, reps))
+        for row, (x1, x2) in zip(table[start:start + per],
+                                 sampler.sample_batch(seed, streams)):
             try:
-                out.append(fn(x1, x2))
+                row[:] = fn(x1, x2)
             except AliasingError:
-                out.append(None)
-        return out
+                pass
 
     if workers <= 1:
-        parts = [do_chunk(c) for c in chunks]
+        for start in range(0, reps, per):
+            do_chunk(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(do_chunk, chunks))
-    return [r for part in parts for r in part]
+            list(pool.map(do_chunk, range(0, reps, per)))
+    return table
 
 
 def simulate_windings(model, T, dt, backend, seed, reps, workers=1):
@@ -214,10 +220,11 @@ def simulate_windings(model, T, dt, backend, seed, reps, workers=1):
     threshold and its own aliasing rejection.  A prefix is a path on
     [0, T] with the same law, but the horizons share their streams.
 
-    Returns a dict with the per-replication signed counts (NaN where the
-    aliasing guard rejected the prefix), agreement flags, and bookkeeping:
-    ``n_w``, ``accepted`` and ``agreement`` have one column per horizon
-    and ``n_rejected`` one entry (1-d and an int for a scalar T).
+    Returns a dict: ``n_w``, the _map_paths table of signed counts, one
+    column per horizon (NaN where the aliasing guard rejected the prefix);
+    ``accepted``, its non-NaN mask; ``n_rejected``, one count per horizon;
+    and ``sampler``.  For a scalar T, ``n_w`` and ``accepted`` are 1-d and
+    ``n_rejected`` is an int.  The counter's ``agreement`` flag is not kept.
     """
     horizons = np.atleast_1d(np.asarray(T, float))
     if not (horizons.ndim == 1 and horizons.size and (np.diff(horizons) > 0).all()):
@@ -230,24 +237,18 @@ def simulate_windings(model, T, dt, backend, seed, reps, workers=1):
         out = []
         for n in ends:
             try:
-                out.append(count_windings_arrays(x1[:n], x2[:n]))
+                out.append(count_windings_arrays(x1[:n], x2[:n]).n_w)
             except AliasingError:
-                out.append(None)
+                out.append(np.nan)
         return out
 
-    res = _map_paths(sampler, seed, reps, workers, count_prefixes)
-    n_w = np.array([[np.nan if r is None else r.n_w for r in row] for row in res],
-                   dtype=float).reshape(reps, len(ends))
-    agree = np.array([[r is not None and r.agreement for r in row] for row in res],
-                     dtype=bool).reshape(reps, len(ends))
+    n_w = _map_paths(sampler, seed, reps, workers, count_prefixes, len(ends))
     ok = ~np.isnan(n_w)
     n_rejected = np.count_nonzero(~ok, axis=0).tolist()
     if np.ndim(T) == 0:
-        n_w, ok, agree, n_rejected = n_w[:, 0], ok[:, 0], agree[:, 0], n_rejected[0]
-    return {
-        "n_w": n_w, "accepted": ok, "agreement": agree,
-        "n_rejected": n_rejected, "sampler": sampler,
-    }
+        n_w, ok, n_rejected = n_w[:, 0], ok[:, 0], n_rejected[0]
+    return {"n_w": n_w, "accepted": ok, "n_rejected": n_rejected,
+            "sampler": sampler}
 
 
 def _prefix(path: SamplePath, n: int) -> SamplePath:
@@ -640,15 +641,15 @@ def run_lemma_check(cfg: ExperimentConfig) -> dict:
         "pass": bool(worst < 1e-10)}
 
     if file_corrs is not None:
-        rows = []
-        for row in file_corrs:
-            c = QuadrantCorr(*map(float, row))
-            cf = quadrant_expectation(c)
-            sr = quadrant_expectation_series(c, _SERIES_ORDER)
-            rows.append({"corr": list(map(float, row)), "closed": cf,
-                         "series": sr, "abs_diff": abs(cf - sr),
-                         "pass": bool(abs(cf - sr) < 1e-10)})
-        checks["file_rows"] = rows
+        # the closed form per row, the series once on all rows, as above
+        rows = file_corrs.tolist()
+        closed = [quadrant_expectation(QuadrantCorr(*row)) for row in rows]
+        series = quadrant_expectation_series(QuadrantCorr(*file_corrs.T),
+                                             _SERIES_ORDER).tolist()
+        checks["file_rows"] = [
+            {"corr": row, "closed": cf, "series": sr, "abs_diff": abs(cf - sr),
+             "pass": bool(abs(cf - sr) < 1e-10)}
+            for row, cf, sr in zip(rows, closed, series)]
 
     ok = all(v["pass"] for k, v in checks.items() if isinstance(v, dict) and "pass" in v)
     if "file_rows" in checks:
@@ -676,11 +677,15 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     ladder = SmoothingLadder(grid, eps)
     bound = variance_bound_two_alpha(model, eps)  # raises HypothesisError early
     sampler = _make_sampler(model, grid, cfg.backend)
-    res = _map_paths(sampler, cfg.seed, cfg.replications, cfg.workers,
-                     lambda x1, x2: smoothed_winding(SamplePath(grid, x1, x2), ladder))
-    n_w = np.array([[np.nan] * len(eps) if r is None else [x.n_w for x in r.results]
-                    for r in res], dtype=float)
-    stabilized = np.array([r is not None and r.stabilized for r in res], dtype=bool)
+
+    def count_ladder(x1, x2):
+        r = smoothed_winding(SamplePath(grid, x1, x2), ladder)
+        return [x.n_w for x in r.results] + [r.stabilized]
+
+    # one row per path: the count at each epsilon, then the stabilised flag
+    table = _map_paths(sampler, cfg.seed, cfg.replications, cfg.workers,
+                       count_ladder, len(eps) + 1)
+    n_w, stabilized = table[:, :-1], table[:, -1] == 1.0
     rows = []
     for j, e in enumerate(eps):
         vals = n_w[:, j][~np.isnan(n_w[:, j])]

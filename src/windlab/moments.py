@@ -40,7 +40,9 @@ import numpy as np
 from .covmodel import CovarianceModel, ModelClass, classify
 from .errors import (CapabilityError, DivergenceError, HypothesisError,
                      ParameterError)
-from .gauss import (conditional_cov, g_norm_sq, orthant_angle,
+# g_norm_sq is not called here: the benchmark tracer (perfbench/tracer.py)
+# patches moments.g_norm_sq under --trace 1 and fails on a missing name
+from .gauss import (conditional_cov, g_norm_sq, orthant_angle,  # noqa: F401
                     quadrant_closed)
 from .pathgen import bump_kernel, next_fast_len
 from .quadrature import adaptive_quad, integrate_to_infinity, tanh_sinh
@@ -54,7 +56,6 @@ __all__ = [
     "variance_rate_independent",
     "variance_WT_route",
     "chaos_projection_variances",
-    "var_I1",
     "variance_bound_two_alpha",
 ]
 
@@ -329,16 +330,6 @@ def variance_WT_route(model: CovarianceModel, T: float) -> WTRoute:
 # ----------------------------------------------------------------------
 # chaos projections
 # ----------------------------------------------------------------------
-def var_I1(model: CovarianceModel, T: float) -> float:
-    """Variance of the first chaos projection at horizon T:
-    (a0 d10)^2 (2/T)(1 - r2(T)); telescopes to zero as T grows."""
-    model.require("dd_r2")
-    rho1 = model.meta.get("rho1", 0.0)
-    a0 = 1.0 / math.sqrt(TWO_PI)
-    d10 = g_norm_sq(rho1)
-    return (a0 * d10) ** 2 * (2.0 / T) * (1.0 - float(model.r2(T)))
-
-
 def chaos_projection_variances(model: CovarianceModel) -> dict:
     """Limits of Var(I_2(T)) and (independent models) Var(I_4(T)).
 

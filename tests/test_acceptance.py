@@ -160,20 +160,43 @@ def test_c06_conditional_covariance_oracle():
           f"max|diff|={worst:.2e} over 150 random lags")
 
 
+def _angle_route(x1, x2):
+    """(sum of the wrapped per-step angle increments, first angle, last
+    angle), the angles measured from the positive x1 axis in [0, 2 pi):
+    a test-local oracle that shares no code with windlab."""
+    phi = np.arctan2(x2, x1)
+    phi = np.where(phi < 0.0, phi + 2.0 * np.pi, phi)
+    d = np.diff(phi)
+    d -= 2.0 * np.pi * np.round(d / (2.0 * np.pi))  # into [-pi, pi]
+    return float(d.sum()), float(phi[0]), float(phi[-1])
+
+
 def test_c07_winding_definition_consistency():
     model = w.model_from_spec(IID_BF)
     sim = w.simulate_windings(model, 100.0, 0.01, "circulant", SEED + 7, 1000)
     accepted = sim["accepted"]
-    agree_all = bool(np.all(sim["agreement"][accepted]))
+    # the same 1000 paths drawn again, 50 at a time: on every accepted
+    # path the summed angle steps are 2 pi n_w + phi_end - phi_start
+    sampler = w.CirculantSampler(model, w.GridSpec.from_dt(100.0, 0.01))
+    worst = 0.0
+    for start in range(0, 1000, 50):
+        paths = sampler.sample_batch(SEED + 7, range(start, start + 50))
+        for s, (x1, x2) in enumerate(paths, start):
+            if accepted[s]:
+                total, first, last = _angle_route(x1, x2)
+                worst = max(worst, abs(total - (2.0 * np.pi * sim["n_w"][s]
+                                                + last - first)))
+    angles_ok = worst < 1e-9
     # deterministic circles reproduce exact integer winding
     t = np.linspace(0.0, 3.0, 301)
     circle = w.SamplePath(grid=w.GridSpec(T=3.0, n=301),
                           x1=np.cos(2 * np.pi * t), x2=np.sin(2 * np.pi * t))
     rc = w.count_windings(circle)
     circles_ok = rc.n_w == 3 and abs(rc.delta_arg - 6 * np.pi) < 1e-6
-    detail = (f"{int(accepted.sum())}/1000 accepted, agreement everywhere: "
-              f"{agree_all}; circle n_w={rc.n_w}")
-    _line(7, "crossing count vs argument increment", agree_all and circles_ok,
+    detail = (f"{int(accepted.sum())}/1000 accepted, worst |angle sum - "
+              f"(2 pi n_w + phi_end - phi_start)| = {worst:.1e}; "
+              f"circle n_w={rc.n_w}")
+    _line(7, "crossing count vs argument increment", angles_ok and circles_ok,
           detail)
 
 

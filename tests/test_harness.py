@@ -119,7 +119,8 @@ class TestHorizonLadder:
         single = simulate_windings(model, 20.0, 0.02, "circulant", 5, 60)
         assert single["n_w"].shape == (60,)
         assert isinstance(single["n_rejected"], int)
-        for key in ("n_w", "accepted", "agreement"):
+        assert set(single) == {"n_w", "accepted", "n_rejected", "sampler"}
+        for key in ("n_w", "accepted"):
             assert np.array_equal(ladder[key][:, -1], single[key], equal_nan=True)
         assert ladder["n_rejected"][-1] == single["n_rejected"]
         assert ladder["sampler"].diagnostics == single["sampler"].diagnostics
@@ -501,13 +502,78 @@ class TestSmoothingRun:
         assert rep["result"]["stabilization_rate"] is None
         assert "not assessable" in rep["result"]["stabilization_note"]
 
-    def test_workers_do_not_change_report(self):
+    @staticmethod
+    def _tables(monkeypatch):
+        """Record every table that _map_paths returns."""
+        tables = []
+        map_paths = harness._map_paths
+
+        def recorded(*args):
+            tables.append(map_paths(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(harness, "_map_paths", recorded)
+        return tables
+
+    def test_table_rows_are_the_per_path_results(self, monkeypatch):
+        from windlab.covmodel import model_from_spec
+        from windlab.errors import AliasingError
+        from windlab.pathgen import CirculantSampler, GridSpec, SamplePath
+        from windlab.winding import smoothed_winding
+        cfg = small_cfg(model=TWO_ALPHA, kind="smoothing",
+                        epsilon_ladder=[0.4, 0.2, 0.1], t_ladder=[15.0],
+                        replications=40)
+        grid = GridSpec.from_dt(15.0, 0.02)
+        paths = CirculantSampler(model_from_spec(TWO_ALPHA), grid).sample_batch(
+            cfg.seed, range(40))
+        # path 3 turns by pi - 2e-12 at every step: every epsilon rejects it
+        paths[3, 0] = np.resize([1.0, -1.0], grid.n)
+        paths[3, 1] = 1e-12
+
+        class FixedPaths:
+            def __init__(self, model, grid):
+                self.grid, self.diagnostics = grid, {}
+
+            def sample_batch(self, seed, streams):
+                return paths[list(streams)]
+
+        monkeypatch.setattr(harness, "_make_sampler",
+                            lambda model, grid, backend: FixedPaths(model, grid))
+        tables = self._tables(monkeypatch)
+        rep = run_smoothing(cfg)
+        want = np.full((40, 4), np.nan)
+        for s, (x1, x2) in enumerate(paths):
+            try:
+                r = smoothed_winding(SamplePath(grid, x1, x2), cfg.epsilon_ladder)
+            except AliasingError:
+                continue
+            want[s] = [x.n_w for x in r.results] + [r.stabilized]
+        (table,) = tables
+        assert np.isnan(want[3]).all() and np.isnan(want).sum() == 4
+        assert np.array_equal(table, want, equal_nan=True)
+        assert [r["n_rejected"] for r in rep["result"]["rows"]] == [1, 1, 1]
+        # a rejected path counts as not stabilised
+        assert rep["result"]["stabilization_rate"] == np.sum(want[:, -1] == 1.0) / 40
+
+    def test_workers_do_not_change_report(self, monkeypatch):
+        # nor does the chunk size: the count table and the report bytes
+        from windlab.pathgen import GridSpec
         cfg = small_cfg(model=TWO_ALPHA, kind="smoothing",
                         epsilon_ladder=[0.4, 0.2], t_ladder=[15.0],
                         replications=250)
-        serial = report_to_json(run_smoothing(cfg)["result"])
-        cfg.workers = 2
-        assert report_to_json(run_smoothing(cfg)["result"]) == serial
+        row = 16 * GridSpec.from_dt(15.0, 0.02).n
+        tables = self._tables(monkeypatch)
+        reports = []
+        for chunk_bytes, workers in ((harness._CHUNK_BYTES, 1),
+                                     (harness._CHUNK_BYTES, 2), (row, 1),
+                                     (row, 2), (7 * row, 2)):
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+            cfg.workers = workers
+            reports.append(report_to_json(run_smoothing(cfg)["result"]))
+        assert tables[0].shape == (250, 3)
+        for table, report in zip(tables[1:], reports[1:]):
+            assert np.array_equal(table, tables[0], equal_nan=True)
+            assert report == reports[0]
 
     def test_small_run_reports_rows(self):
         cfg = small_cfg(model=TWO_ALPHA, kind="smoothing",

@@ -16,9 +16,8 @@ from windlab.errors import (CapabilityError, DivergenceError, HypothesisError,
                             ParameterError)
 from windlab.gauss import conditional_cov
 from windlab.moments import (chaos_projection_variances, expectation_rate,
-                             var_I1, variance_bound_two_alpha,
-                             variance_rate_general, variance_rate_independent,
-                             variance_WT_route)
+                             variance_bound_two_alpha, variance_rate_general,
+                             variance_rate_independent, variance_WT_route)
 from windlab.pathgen import bump_kernel
 from windlab.quadrature import integrate_to_infinity
 
@@ -344,13 +343,6 @@ class TestChaosProjections:
         out = chaos_projection_variances(regression03)
         assert any("r12'(0)" in n for n in out["notes"])
         assert out["var_I2_spectral"] == pytest.approx(out["var_I2_limit"], abs=1e-6)
-
-    def test_var_i1_telescopes(self, iid_bf):
-        # (a0 d10)^2 (2/T)(1 - r2(T)) with d10 = 1/2
-        expect = (0.5 / math.sqrt(TWO_PI)) ** 2 * (2.0 / 100.0) * (1.0 - math.exp(-5000.0))
-        assert var_I1(iid_bf, 100.0) == pytest.approx(expect, rel=1e-10)
-        assert var_I1(iid_bf, 100.0) < 1e-3
-        assert var_I1(iid_bf, 400.0) < var_I1(iid_bf, 100.0)
 
 
 class TestTwoAlphaBound:

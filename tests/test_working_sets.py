@@ -8,12 +8,14 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import windlab
 from windlab import harness, moments
 from windlab.covmodel import make_alpha_process, model_from_spec
 from windlab.harness import quadrant_mc, random_psd_quadrant, simulate_windings
-from windlab.pathgen import GridSpec
+from windlab.pathgen import CirculantSampler, GridSpec
+from windlab.winding import WindingResult
 
 IID_BF = {"x": {"family": "bargmann_fock"}, "cross": "iid"}
 
@@ -59,6 +61,35 @@ def test_simulate_peak_memory_does_not_grow_with_reps():
 
     one, four = peak(per), peak(4 * per)
     assert four <= one + (1 << 20)
+
+
+@pytest.mark.parametrize("T", [20.0, [5.0, 10.0, 15.0, 20.0]])
+def test_simulate_peak_memory_flat_from_2000_to_20000_paths(monkeypatch, T):
+    # a run keeps one float per (path, horizon), not a result object.
+    # The real sampler and counter run several times slower under
+    # tracemalloc, so stand-ins that keep nothing replace them: one real
+    # path broadcast to every stream, and a counter that returns a fresh
+    # WindingResult per call
+    grid = GridSpec.from_dt(20.0, 0.02)
+    path = CirculantSampler(model_from_spec(IID_BF), grid).sample_batch(31, [0])[0]
+
+    class OnePath:
+        def __init__(self, model, grid):
+            self.grid, self.diagnostics = grid, {}
+
+        def sample_batch(self, seed, streams):
+            return np.broadcast_to(path, (len(streams), *path.shape))
+
+    monkeypatch.setitem(harness._SAMPLERS, "one_path", OnePath)
+    monkeypatch.setattr(harness, "count_windings_arrays",
+                        lambda x1, x2: WindingResult(1, 0, 1, float(x2[-1]), True))
+
+    def peak(reps):
+        return _peak_bytes(
+            lambda: simulate_windings(None, T, 0.02, "one_path", 31, reps))
+
+    small, large = peak(2000), peak(20_000)
+    assert large <= small + (1 << 20), (small, large)
 
 
 def test_quadrant_mc_chunk_changes_only_summation_order(monkeypatch):
