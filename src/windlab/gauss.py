@@ -51,6 +51,9 @@ _PSD_TOL = -1e-12
 # band rather than extrapolate (callers that need t -> 0 limits use a
 # dedicated expansion instead)
 _RHO34_GUARD = 1e-6
+# diagram-series order: the order-80 remainder reaches ~7.5e-9 at
+# |rho34| = 0.9, above the 1e-10 oracle gate; order 160 is below 1e-15
+_SERIES_ORDER = 160
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +156,7 @@ def quadrant_expectation(c: QuadrantCorr) -> float:
     return quadrant_closed(c.rho12, c.rho13, c.rho14, c.rho23, c.rho24, c.rho34)
 
 
-def quadrant_expectation_series(c: QuadrantCorr, order: int = 80) -> float:
+def quadrant_expectation_series(c: QuadrantCorr, order: int = _SERIES_ORDER) -> float:
     """Diagram-formula series for the quadrant expectation, elementwise on
     array fields: one pass over the orders serves every set, each set
     getting the bits a scalar call gives it.

@@ -13,9 +13,9 @@ horizon of ``t_ladder`` is counted on a prefix of the same paths, so the
 rows of a multi-horizon report are correlated and all carry the longest
 horizon's sampler diagnostics.
 
-A run keeps counts, not result objects: one preallocated float table
-(``_map_paths``), a row per path, NaN where the aliasing guard rejected
-it.  The counter's ``agreement`` flag is not kept.
+A Monte Carlo run's result is its count table (``_map_paths``), a row
+per path, NaN where the aliasing guard rejected it, and nothing else per
+path: ``_column`` reads a column's accepted counts and its rejections.
 """
 from __future__ import annotations
 
@@ -62,10 +62,6 @@ SCHEMA = "windlab-report/1"
 _CHUNK_BYTES = 4 << 20  # finished paths held per _map_paths chunk
 _BOOT_BYTES = 1 << 20  # bootstrap resample indices per block
 _SAMPLERS = {"circulant": CirculantSampler, "cholesky": CholeskySampler}
-# diagram-series order of the closed-form oracle: the order-80 remainder
-# reaches ~7.5e-9 at |rho34| = 0.9, above the 1e-10 gate; order 160 is
-# below 1e-15 there
-_SERIES_ORDER = 160
 _QMC_CHUNK = 1 << 14  # quadrant_mc uniforms drawn per step (128 KiB)
 
 
@@ -96,6 +92,11 @@ class ExperimentConfig:
     INT_FIELDS = {"replications": 1, "seed": 0, "workers": 1,
                   "lemma_mc_samples": 2, "lemma_random_sets": 0,
                   "lemma_spot_cases": 0, "export_paths": 0}
+    # greatest values of the counts a run holds, each sized by the peak RSS
+    # of a run at the bound (README): the count table's cells (a clt report
+    # lists each), the check's random sets and its spot-case rows
+    MAX_CELLS = 10 ** 6
+    INT_MOST = {"lemma_random_sets": 10 ** 5, "lemma_spot_cases": 10 ** 4}
 
     def __post_init__(self):
         for name, least in self.INT_FIELDS.items():
@@ -104,6 +105,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
             if v < least:
                 raise ConfigError(f"{name} must be >= {least}, got {v}")
+            if v > self.INT_MOST.get(name, v):
+                raise ConfigError(f"{name} must be <= {self.INT_MOST[name]}, got {v}")
         for name in ("correlations_file", "out_dir"):
             v = getattr(self, name)
             if v is not None and not isinstance(v, str):
@@ -138,6 +141,11 @@ class ExperimentConfig:
                                 or any(b >= a for a, b in zip(eps, eps[1:]))):
             raise ConfigError("epsilon_ladder must be positive and strictly "
                               f"decreasing, got {eps}")
+        cols = max(len(self.t_ladder), len(eps or []) + 1)
+        if self.replications * cols > self.MAX_CELLS:
+            raise ConfigError(f"replications must be <= {self.MAX_CELLS // cols} "
+                              f"for a count table of width {cols} (at most "
+                              f"{self.MAX_CELLS} cells), got {self.replications}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -184,11 +192,11 @@ def _check_grid(cfg):
 
 
 def _map_paths(sampler, seed, reps, workers, fn, width):
-    """A (reps, width) float table whose row s is fn(x1, x2) on the path of
-    stream s, left NaN where the aliasing guard rejected that path.  Each
-    chunk is one sample_batch call holding about _CHUNK_BYTES of paths and
-    writes only its own rows, so chunks run on any of ``workers`` threads
-    and nothing per path outlives its chunk."""
+    """The count table: a (reps, width) float array whose row s is fn(x1,
+    x2) on the path of stream s, left NaN where the aliasing guard rejected
+    that path.  Each chunk is one sample_batch call holding about
+    _CHUNK_BYTES of paths and writes only its own rows, so chunks run on
+    any of ``workers`` threads and nothing per path outlives its chunk."""
     per = max(1, _CHUNK_BYTES // (16 * sampler.grid.n))
     table = np.full((reps, width), np.nan)
 
@@ -210,6 +218,12 @@ def _map_paths(sampler, seed, reps, workers, fn, width):
     return table
 
 
+def _column(table, j):
+    """(accepted counts, number rejected) of column j of a count table."""
+    col = table[:, j]
+    return col[~np.isnan(col)], int(np.count_nonzero(np.isnan(col)))
+
+
 def simulate_windings(model, T, dt, backend, seed, reps, workers=1):
     """Winding counts for ``reps`` replications.
 
@@ -220,11 +234,9 @@ def simulate_windings(model, T, dt, backend, seed, reps, workers=1):
     threshold and its own aliasing rejection.  A prefix is a path on
     [0, T] with the same law, but the horizons share their streams.
 
-    Returns a dict: ``n_w``, the _map_paths table of signed counts, one
-    column per horizon (NaN where the aliasing guard rejected the prefix);
-    ``accepted``, its non-NaN mask; ``n_rejected``, one count per horizon;
-    and ``sampler``.  For a scalar T, ``n_w`` and ``accepted`` are 1-d and
-    ``n_rejected`` is an int.  The counter's ``agreement`` flag is not kept.
+    Returns {"n_w": the count table, (reps, horizons) even for a scalar
+    T, NaN where the aliasing guard rejected the prefix; "sampler": the
+    sampler}.  ``_column`` reads a horizon's counts and rejections.
     """
     horizons = np.atleast_1d(np.asarray(T, float))
     if not (horizons.ndim == 1 and horizons.size and (np.diff(horizons) > 0).all()):
@@ -243,12 +255,7 @@ def simulate_windings(model, T, dt, backend, seed, reps, workers=1):
         return out
 
     n_w = _map_paths(sampler, seed, reps, workers, count_prefixes, len(ends))
-    ok = ~np.isnan(n_w)
-    n_rejected = np.count_nonzero(~ok, axis=0).tolist()
-    if np.ndim(T) == 0:
-        n_w, ok, n_rejected = n_w[:, 0], ok[:, 0], n_rejected[0]
-    return {"n_w": n_w, "accepted": ok, "n_rejected": n_rejected,
-            "sampler": sampler}
+    return {"n_w": n_w, "sampler": sampler}
 
 
 def _prefix(path: SamplePath, n: int) -> SamplePath:
@@ -313,12 +320,12 @@ def run_expectation(cfg: ExperimentConfig) -> dict:
                             cfg.replications, cfg.workers)
     rows = []
     for j, T in enumerate(cfg.t_ladder):
-        vals = sim["n_w"][:, j][sim["accepted"][:, j]]
+        vals, n_rejected = _column(sim["n_w"], j)
         mean, se = _mean_se(vals)
         theory = T * rate
         row = {
             "T": T, "replications": cfg.replications,
-            "n_rejected": sim["n_rejected"][j],
+            "n_rejected": n_rejected,
             "mc_mean": mean, "mc_se": se, "theory_mean": theory,
             **sim["sampler"].diagnostics,
         }
@@ -360,7 +367,7 @@ def run_variance(cfg: ExperimentConfig) -> dict:
     rows = []
     for j, (T, v_t, v_t_err) in enumerate(zip(cfg.t_ladder, general.v_t,
                                               general.v_t_err)):
-        vals = sim["n_w"][:, j][sim["accepted"][:, j]]
+        vals, n_rejected = _column(sim["n_w"], j)
         var_rate = float(np.var(vals, ddof=1)) / T if len(vals) > 1 else None
         lo, hi = (None, None)
         if var_rate is not None:
@@ -368,7 +375,7 @@ def run_variance(cfg: ExperimentConfig) -> dict:
             lo, hi = lo / T, hi / T
         row = {
             "T": T, "replications": cfg.replications,
-            "n_rejected": sim["n_rejected"][j],
+            "n_rejected": n_rejected,
             "var_rate": var_rate, "ci99_lo": lo, "ci99_hi": hi,
             "v_T_general": v_t, "v_T_general_err": v_t_err,
             "reference": v_t, **sim["sampler"].diagnostics,
@@ -420,7 +427,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
                             cfg.replications, cfg.workers)
     per_t = []
     for j, T in enumerate(cfg.t_ladder):
-        vals = sim["n_w"][:, j][sim["accepted"][:, j]]
+        vals, n_rejected = _column(sim["n_w"], j)
         std_sample = (vals - T * rate) / math.sqrt(T)
         scale = math.sqrt(v_inf) if v_inf else float(np.std(std_sample, ddof=1))
         # lattice-edge KS on the raw counts == KS of the standardized
@@ -438,7 +445,7 @@ def run_clt(cfg: ExperimentConfig) -> dict:
             "kurtosis": kurt, "kurtosis_se": math.sqrt(24.0 / m),
             "standardized_sample": [float(v) for v in std_sample],
             "small_t_regime": bool(T < 20.0),
-            "n_rejected": sim["n_rejected"][j],
+            "n_rejected": n_rejected,
             **sim["sampler"].diagnostics,
         })
     # no pass criterion in the pre-asymptotic regime
@@ -605,8 +612,7 @@ def run_lemma_check(cfg: ExperimentConfig) -> dict:
     sets = [random_psd_quadrant(rng) for _ in range(cfg.lemma_random_sets)]
     closed = np.array([quadrant_expectation(c) for c in sets], float)
     series = quadrant_expectation_series(
-        QuadrantCorr(*np.reshape([c.values() for c in sets], (-1, 6)).T),
-        _SERIES_ORDER)
+        QuadrantCorr(*np.reshape([c.values() for c in sets], (-1, 6)).T))
     series_err = float(np.max(np.abs(closed - series), initial=0.0))
     checks["closed_vs_series"] = {
         "sets": cfg.lemma_random_sets, "max_abs_diff": series_err,
@@ -644,8 +650,7 @@ def run_lemma_check(cfg: ExperimentConfig) -> dict:
         # the closed form per row, the series once on all rows, as above
         rows = file_corrs.tolist()
         closed = [quadrant_expectation(QuadrantCorr(*row)) for row in rows]
-        series = quadrant_expectation_series(QuadrantCorr(*file_corrs.T),
-                                             _SERIES_ORDER).tolist()
+        series = quadrant_expectation_series(QuadrantCorr(*file_corrs.T)).tolist()
         checks["file_rows"] = [
             {"corr": row, "closed": cf, "series": sr, "abs_diff": abs(cf - sr),
              "pass": bool(abs(cf - sr) < 1e-10)}
@@ -685,15 +690,14 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     # one row per path: the count at each epsilon, then the stabilised flag
     table = _map_paths(sampler, cfg.seed, cfg.replications, cfg.workers,
                        count_ladder, len(eps) + 1)
-    n_w, stabilized = table[:, :-1], table[:, -1] == 1.0
     rows = []
     for j, e in enumerate(eps):
-        vals = n_w[:, j][~np.isnan(n_w[:, j])]
+        vals, n_rejected = _column(table, j)
         var_rate = float(np.var(vals, ddof=1)) / T if len(vals) > 1 else None
         se = var_rate * math.sqrt(2.0 / (len(vals) - 1)) if var_rate is not None else None
         row = {"epsilon": e, "var_rate": var_rate, "var_rate_se": se,
                "bound": bound.bound_v_inf,
-               "n_rejected": int(np.count_nonzero(np.isnan(n_w[:, j]))),
+               "n_rejected": n_rejected,
                **sampler.diagnostics}
         if var_rate is not None:
             row["pass"] = bool(var_rate <= bound.bound_v_inf + 3.0 * se)
@@ -703,7 +707,8 @@ def run_smoothing(cfg: ExperimentConfig) -> dict:
     body = {
         "bound": bound.to_dict(),
         "rows": rows,
-        "stabilization_rate": (float(np.mean(stabilized)) if len(eps) > 1 else None),
+        "stabilization_rate": (float(np.mean(table[:, -1] == 1.0))
+                               if len(eps) > 1 else None),
         "stabilization_note": ("not assessable: epsilon ladder of length 1"
                                if len(eps) < 2 else None),
     }

@@ -129,13 +129,26 @@ def _i_integrand(model):
     return g
 
 
+def _alpha_pair(model, check=False):
+    """The coordinates' alpha exponents from ``meta`` (None where not an
+    alpha-process).  ``check`` refuses what the two-alpha theory cannot
+    take: no pair (CapabilityError) or alpha1 + alpha2 <= 2, where I
+    diverges at 0 (HypothesisError)."""
+    a1, a2 = (model.meta.get(c, {}).get("alpha") for c in ("x1", "x2"))
+    if check and (a1 is None or a2 is None):
+        raise CapabilityError("only two alpha-processes with alpha1 + alpha2 "
+                              f"> 2 are handled, got {model.meta.get('label')}")
+    if check and a1 + a2 <= 2.0:
+        raise HypothesisError(f"alpha1 + alpha2 = {a1 + a2:g} <= 2: I diverges "
+                              "at 0, so the finite-second-moment hypothesis fails")
+    return a1, a2
+
+
 def _singularity_power(model) -> int:
     """Power p for the substitution t = u^p that flattens the t^a endpoint
     singularity of the coupling integrand (a = (alpha1 + alpha2)/2 - 2,
     rough coordinates contributing their alpha, differentiable ones 2)."""
-    a1 = model.meta.get("x1", {}).get("alpha", 2.0)
-    a2 = model.meta.get("x2", {}).get("alpha", 2.0)
-    a = 0.5 * (a1 + a2) - 2.0
+    a = 0.5 * sum(2.0 if v is None else v for v in _alpha_pair(model)) - 2.0
     if a >= 0.0 or a <= -1.0:
         return 1  # no singularity, or a divergent one the Cauchy check reports
     return int(math.ceil(1.0 / (1.0 + a))) + 1
@@ -159,13 +172,11 @@ def _coupling_integral(model):
     (value, error, rule_disagreement).
     """
     g = _i_integrand(model)
-    # Cauchy check near the origin: partial integrals over [eps, 1]
-    parts = []
-    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
-        v, _ = adaptive_quad(g, eps, 1.0, 1e-10, 1e-10)
-        parts.append(v)
-    d1, d2 = abs(parts[1] - parts[0]), abs(parts[3] - parts[2])
-    if not math.isfinite(parts[-1]) or (d2 > 1e-8 and d2 > 0.5 * d1):
+    # Cauchy check near the origin in one call: c holds the integrals from
+    # 1e-8 to 1e-6, 1e-4, 1e-2 and 1; the partials are their differences
+    c, _ = adaptive_quad(g, 1e-8, [1e-6, 1e-4, 1e-2, 1.0], 1e-10, 1e-10)
+    d1, d2 = abs(c[2] - c[1]), abs(c[0])
+    if not math.isfinite(c[-1]) or (d2 > 1e-8 and d2 > 0.5 * d1):
         raise DivergenceError(
             "coupling integral I is not Riemann convergent at 0; the "
             "independent-case variance hypothesis (I convergent) fails")
@@ -185,7 +196,8 @@ def variance_rate_independent(model: CovarianceModel) -> MomentReport:
     constants would give, for side-by-side reporting.  When X2 is not
     differentiable but both coordinates are rough alpha-processes with
     alpha1 + alpha2 > 2, the same integral is returned in bound mode (the
-    smoothing-limit upper bound; see variance_bound_two_alpha).
+    smoothing-limit upper bound; see variance_bound_two_alpha, which
+    shares the _alpha_pair check).
     """
     cls = classify(model)
     if cls not in (ModelClass.INDEPENDENT, ModelClass.IID):
@@ -194,17 +206,7 @@ def variance_rate_independent(model: CovarianceModel) -> MomentReport:
     model.require("d_r1", "d_r2")
     notes = []
     if not model.x2_differentiable:
-        a1 = model.meta.get("x1", {}).get("alpha")
-        a2 = model.meta.get("x2", {}).get("alpha")
-        if a1 is not None and a2 is not None and a1 + a2 <= 2.0:
-            raise DivergenceError(
-                f"alpha1 + alpha2 = {a1 + a2:g} <= 2: the coupling integral "
-                "I diverges at 0, so the convergent-I hypothesis of the "
-                "independent-case variance theorem fails")
-        if a1 is None or a2 is None:
-            raise CapabilityError(
-                "X2 is not differentiable; only two alpha-processes with "
-                "alpha1 + alpha2 > 2 are handled (bound mode)")
+        _alpha_pair(model, check=True)
         notes.append("bound mode: X2 non-differentiable; value is the "
                      "smoothing-limit bound, not a proven limit")
     i_val, i_err, i_disagree = _coupling_integral(model)
@@ -506,16 +508,9 @@ def variance_bound_two_alpha(model: CovarianceModel, epsilon_grid) -> TwoAlphaBo
     trapezoid against the closed-form theta_1, so theta_1's t^(alpha1/2)
     start is integrated exactly.  The rest goes to integrate_to_infinity.
     i_eps_err adds the head's change on a half-resolution bump to the
-    tail's error estimate.
+    tail's error estimate.  The model is refused as by _alpha_pair.
     """
-    a1 = model.meta.get("x1", {}).get("alpha")
-    a2 = model.meta.get("x2", {}).get("alpha")
-    if a1 is None or a2 is None:
-        raise ParameterError("variance_bound_two_alpha expects two alpha-processes")
-    if a1 + a2 <= 2.0:
-        raise HypothesisError(
-            f"alpha1 + alpha2 = {a1 + a2:g} <= 2: the finite-second-moment "
-            "hypothesis fails")
+    a1, a2 = _alpha_pair(model, check=True)
     eps = list(epsilon_grid)
     if not eps or any(e <= 0 for e in eps):
         raise ParameterError("epsilon_grid must be non-empty and positive")

@@ -123,24 +123,18 @@ class SmoothedWinding:
         return self.stabilization_index is not None
 
 
-def smoothed_winding(path: SamplePath, epsilon_sequence) -> SmoothedWinding:
+def smoothed_winding(path: SamplePath, ladder: SmoothingLadder) -> SmoothedWinding:
     """Count the windings of (x1, smooth(x2, eps)) along a decreasing
     epsilon ladder; report the first index from which n_w stays constant
     (None when the ladder never settles or has a single entry).
 
-    ``epsilon_sequence`` is a sequence of epsilons, for which a
-    ``SmoothingLadder`` is built on ``path.grid`` (so the ladder's
-    ParameterError and ResolutionError come first), or a ladder already
-    built on that grid, which many paths can share; a ladder built on
-    another grid raises ParameterError.  Each smoothed row is counted by
+    ``ladder`` is a ``SmoothingLadder`` (which validated the epsilons)
+    built on ``path.grid``, so that many paths share one; anything else
+    raises ParameterError.  Each smoothed row is counted by
     ``count_windings_arrays``."""
-    if isinstance(epsilon_sequence, SmoothingLadder):
-        ladder = epsilon_sequence
-        if ladder.grid != path.grid:
-            raise ParameterError(f"smoothing ladder built on {ladder.grid}, "
-                                 f"path on {path.grid}")
-    else:
-        ladder = SmoothingLadder(path.grid, epsilon_sequence)
+    if not (isinstance(ladder, SmoothingLadder) and ladder.grid == path.grid):
+        raise ParameterError("smoothed_winding takes a smoothing ladder built "
+                             f"on {path.grid}, got {getattr(ladder, 'grid', ladder)}")
     results = tuple(count_windings_arrays(path.x1, row)
                     for row in ladder.smooth(path.x2))
     stab = None

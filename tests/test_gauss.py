@@ -186,6 +186,15 @@ class TestQuadrantSeries:
                 for q in (10, 20, 40, 80, 160)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
+    def test_default_order_meets_the_oracle_gate(self):
+        # at rho34 = 0.9 order 80 misses the 1e-10 gate of `windlab check`
+        # (by 3.1e-10 here); the default order meets it with room
+        c = QuadrantCorr(rho12=-0.9, rho13=-0.4, rho14=0.0, rho23=0.0,
+                         rho24=-0.4, rho34=0.9)
+        cf = quadrant_expectation(c)
+        assert abs(quadrant_expectation_series(c, 80) - cf) > 1e-10
+        assert abs(quadrant_expectation_series(c) - cf) < 1e-14
+
     def test_random_sets_tight_agreement(self):
         rng = np.random.default_rng(3)
         worst = 0.0

@@ -64,7 +64,7 @@ class TestDeterminism:
         model = model_from_spec(IID_BF)
         for backend in ("circulant", "cholesky"):
             sim = simulate_windings(model, 10.0, 0.05, backend, 5, 40)
-            assert sim["accepted"].sum() == 40
+            assert np.count_nonzero(~np.isnan(sim["n_w"])) == 40
 
     def test_write_report_stable_bytes(self, tmp_path):
         rep = run_expectation(small_cfg())
@@ -99,7 +99,7 @@ class TestHorizonLadder:
         sim = simulate_windings(model, ladder, dt, backend, 5, 40)
         sampler = harness._SAMPLERS[backend](model, GridSpec.from_dt(ladder[-1], dt))
         paths = sampler.sample_batch(5, range(40))
-        assert sim["n_w"].shape == sim["accepted"].shape == (40, 3)
+        assert sim["n_w"].shape == (40, 3)
         for j, T in enumerate(ladder):
             n = GridSpec.from_dt(T, dt).n
             want = []
@@ -109,20 +109,18 @@ class TestHorizonLadder:
                 except AliasingError:
                     want.append(np.nan)
             assert np.array_equal(sim["n_w"][:, j], want, equal_nan=True)
-            assert np.array_equal(sim["accepted"][:, j], ~np.isnan(want))
-        assert sim["n_rejected"] == np.count_nonzero(~sim["accepted"], axis=0).tolist()
+            vals, n_rejected = harness._column(sim["n_w"], j)
+            assert np.array_equal(vals, [v for v in want if not np.isnan(v)])
+            assert n_rejected == np.count_nonzero(np.isnan(want))
 
     def test_last_column_is_the_single_horizon_run(self):
         from windlab.covmodel import model_from_spec
         model = model_from_spec(IID_BF)
         ladder = simulate_windings(model, [5.0, 10.0, 20.0], 0.02, "circulant", 5, 60)
         single = simulate_windings(model, 20.0, 0.02, "circulant", 5, 60)
-        assert single["n_w"].shape == (60,)
-        assert isinstance(single["n_rejected"], int)
-        assert set(single) == {"n_w", "accepted", "n_rejected", "sampler"}
-        for key in ("n_w", "accepted"):
-            assert np.array_equal(ladder[key][:, -1], single[key], equal_nan=True)
-        assert ladder["n_rejected"][-1] == single["n_rejected"]
+        assert single["n_w"].shape == (60, 1)
+        assert set(single) == {"n_w", "sampler"}
+        assert np.array_equal(ladder["n_w"][:, -1:], single["n_w"], equal_nan=True)
         assert ladder["sampler"].diagnostics == single["sampler"].diagnostics
 
     def test_each_prefix_has_its_own_zero_threshold(self, monkeypatch):
@@ -276,8 +274,7 @@ class TestVarianceRun:
         assert len(n_w) == cfg.replications
         # one column per horizon of the one-horizon ladder
         monkeypatch.setattr(harness, "simulate_windings", lambda *a, **k: {
-            "n_w": n_w[:, None], "accepted": np.ones((len(n_w), 1), bool),
-            "n_rejected": [0], "sampler": SimpleNamespace(diagnostics={})})
+            "n_w": n_w[:, None], "sampler": SimpleNamespace(diagnostics={})})
         rep = run_variance(cfg)
         row = rep["result"]["rows"][0]
         assert rep["result"]["independent"]
@@ -358,7 +355,7 @@ class TestLemmaCheck:
     def test_series_mutation_detected(self, monkeypatch):
         # the series without its exchange sum, on the batch of all random
         # sets: only the closed-form-vs-series suite can see it
-        def no_exchange(c: QuadrantCorr, order):
+        def no_exchange(c: QuadrantCorr, order=160):
             x = c.rho34
             direct = c.rho13 * c.rho24 + c.rho14 * c.rho23
             total = c.rho12 / 4.0 + direct / (2 * math.pi)
@@ -381,9 +378,9 @@ class TestLemmaCheck:
         calls = {"series": [], "conditional_cov": 0}
         series, ccov = harness.quadrant_expectation_series, harness.conditional_cov
 
-        def counted_series(c, order):
+        def counted_series(c):  # at the series' own default order
             calls["series"].append(np.shape(c.rho34))
-            return series(c, order)
+            return series(c)
 
         def counted_ccov(model, t):
             calls["conditional_cov"] += 1
@@ -518,7 +515,8 @@ class TestSmoothingRun:
     def test_table_rows_are_the_per_path_results(self, monkeypatch):
         from windlab.covmodel import model_from_spec
         from windlab.errors import AliasingError
-        from windlab.pathgen import CirculantSampler, GridSpec, SamplePath
+        from windlab.pathgen import (CirculantSampler, GridSpec, SamplePath,
+                                     SmoothingLadder)
         from windlab.winding import smoothed_winding
         cfg = small_cfg(model=TWO_ALPHA, kind="smoothing",
                         epsilon_ladder=[0.4, 0.2, 0.1], t_ladder=[15.0],
@@ -544,7 +542,8 @@ class TestSmoothingRun:
         want = np.full((40, 4), np.nan)
         for s, (x1, x2) in enumerate(paths):
             try:
-                r = smoothed_winding(SamplePath(grid, x1, x2), cfg.epsilon_ladder)
+                r = smoothed_winding(SamplePath(grid, x1, x2),
+                                     SmoothingLadder(grid, cfg.epsilon_ladder))
             except AliasingError:
                 continue
             want[s] = [x.n_w for x in r.results] + [r.stabilized]
@@ -751,6 +750,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, fields, message", [
+        ("variance", {"replications": 10 ** 12}, "replications must be <= 1000000 "),
+        ("clt", {"replications": 250_001, "t_ladder": [5.0, 10.0, 15.0, 20.0]},
+         "replications must be <= 250000 "),
+        ("smooth", {"replications": 200_001, "model": TWO_ALPHA,
+                    "epsilon_ladder": [0.4, 0.2, 0.1, 0.05]},
+         "replications must be <= 200000 "),
+        ("check", {"lemma_random_sets": 10 ** 11},
+         "lemma_random_sets must be <= 100000,"),
+        ("variance", {"lemma_spot_cases": 10 ** 9},
+         "lemma_spot_cases must be <= 10000,"),
+    ])
+    def test_counts_above_their_bounds_exit_2_first(self, tmp_path, monkeypatch,
+                                                     capsys, command, fields,
+                                                     message):
+        # one line naming the field and its bound, before any theory or path
+        from windlab import cli, harness
+
+        def no_theory(*args, **kwargs):
+            raise AssertionError("an oversized config reached the theory")
+
+        for name in ("variance_rate_general", "variance_rate_independent",
+                     "variance_bound_two_alpha", "expectation_rate",
+                     "simulate_windings", "random_psd_quadrant"):
+            monkeypatch.setattr(harness, name, no_theory)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": IID_BF, "t_ladder": [5.0],
+                                    "dt": 0.05, **fields}))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_counts_at_their_bounds_are_accepted(self):
+        small_cfg(replications=10 ** 6)
+        small_cfg(replications=200_000, epsilon_ladder=[0.4, 0.2, 0.1, 0.05])
+        small_cfg(lemma_random_sets=10 ** 5, lemma_spot_cases=10 ** 4)
 
     def test_point_cap_message_is_short(self, tmp_path, capsys):
         # T = 1e300 at dt = 0.01 is a grid of 1e302 points, printed as such

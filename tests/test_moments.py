@@ -99,8 +99,15 @@ class TestVarianceIndependent:
             variance_rate_independent(regression03)
 
     def test_divergent_rough_pair(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(HypothesisError):
             variance_rate_independent(make_alpha_process(1.0, 1.0))
+
+    def test_divergent_coupling_integral_refused(self, iid_bf, monkeypatch):
+        # an integrand like 1/t near 0: the Cauchy probe's partial over
+        # [1e-8, 1e-6] does not shrink against the one over [1e-4, 1e-2]
+        monkeypatch.setattr(moments, "_i_integrand", lambda model: lambda t: 1.0 / t)
+        with pytest.raises(DivergenceError, match="not Riemann convergent"):
+            variance_rate_independent(iid_bf)
 
     def test_rough_pair_bound_mode(self):
         rep = variance_rate_independent(make_alpha_process(1.2))
@@ -359,6 +366,15 @@ class TestTwoAlphaBound:
     def test_boundary_alpha_sum_rejected(self):
         with pytest.raises(HypothesisError):
             variance_bound_two_alpha(make_alpha_process(1.0, 1.0), [0.2])
+
+    def test_model_without_two_alphas_refused(self):
+        # a rough X2 beside a differentiable X1: the bound mode of the
+        # independent rate and the bound itself refuse it alike
+        m = make_independent_model(bargmann_fock(), ornstein_uhlenbeck())
+        with pytest.raises(CapabilityError, match="two alpha-processes"):
+            variance_rate_independent(m)
+        with pytest.raises(CapabilityError, match="two alpha-processes"):
+            variance_bound_two_alpha(m, [0.2])
 
     def test_epsilon_sweep_cauchy(self):
         m = make_alpha_process(1.2)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from windlab.errors import AliasingError, ParameterError, ResolutionError
+from windlab.errors import AliasingError, ParameterError
 from windlab.pathgen import (CholeskySampler, CirculantSampler, GridSpec,
                              SamplePath, SmoothingLadder, export_path_csv,
                              load_path_csv)
@@ -149,17 +149,12 @@ class TestSmoothedWinding:
         return CirculantSampler(make_alpha_process(1.2),
                                 GridSpec.from_dt(T, 0.01)).sample(seed)
 
-    def test_ladder_validation(self):
-        p = self._rough_path()
-        with pytest.raises(ParameterError):
-            smoothed_winding(p, [])
-        with pytest.raises(ParameterError):
-            smoothed_winding(p, [0.1, 0.2])
-        with pytest.raises(ResolutionError):
-            smoothed_winding(p, [0.4, 0.01])  # below 2*dt
+    @staticmethod
+    def _smoothed(p, eps):
+        return smoothed_winding(p, SmoothingLadder(p.grid, eps))
 
     def test_ladder_of_one_not_assessable(self):
-        res = smoothed_winding(self._rough_path(), [0.3])
+        res = self._smoothed(self._rough_path(), [0.3])
         assert res.stabilization_index is None
         assert len(res.results) == 1
 
@@ -167,16 +162,15 @@ class TestSmoothedWinding:
         # a differentiable path keeps its count under mild smoothing
         p = CirculantSampler(iid_bf, GridSpec.from_dt(20.0, 0.01)).sample(11)
         base = count_windings(p).n_w
-        res = smoothed_winding(p, [0.1, 0.05, 0.025])
+        res = self._smoothed(p, [0.1, 0.05, 0.025])
         assert all(r.n_w == base for r in res.results)
         assert res.stabilization_index == 0
 
-    def test_epsilon_list_and_prebuilt_ladder_agree(self):
-        p = self._rough_path(seed=7)
-        eps = [0.4, 0.2, 0.1, 0.05]
-        from_list = smoothed_winding(p, eps)
-        assert smoothed_winding(p, SmoothingLadder(p.grid, eps)) == from_list
-        assert from_list.epsilons == tuple(eps)
+    def test_only_a_ladder_is_taken(self):
+        p = self._rough_path()
+        for eps in ([0.4, 0.2], (0.4, 0.2), np.array([0.4, 0.2])):
+            with pytest.raises(ParameterError, match="takes a smoothing ladder"):
+                smoothed_winding(p, eps)
 
     def test_ladder_on_another_grid_refused(self):
         p = self._rough_path()
@@ -204,8 +198,9 @@ class TestSmoothedWinding:
         assert len(got) == 800 and got == want
 
     def test_rough_path_ladder_runs(self):
-        res = smoothed_winding(self._rough_path(seed=12), [0.4, 0.2, 0.1, 0.05])
+        res = self._smoothed(self._rough_path(seed=12), [0.4, 0.2, 0.1, 0.05])
         assert len(res.results) == 4
+        assert res.epsilons == (0.4, 0.2, 0.1, 0.05)
         if res.stabilization_index is not None:
             tail = [r.n_w for r in res.results[res.stabilization_index:]]
             assert len(set(tail)) == 1
