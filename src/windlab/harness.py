@@ -94,9 +94,11 @@ class ExperimentConfig:
                   "lemma_spot_cases": 0, "export_paths": 0}
     # greatest values of the counts a run holds, each sized by the peak RSS
     # of a run at the bound (README): the count table's cells (a clt report
-    # lists each), the check's random sets and its spot-case rows
+    # lists each), the check's random sets and its spot-case rows; and the
+    # greatest seed, one 64-bit word of the Philox key
     MAX_CELLS = 10 ** 6
-    INT_MOST = {"lemma_random_sets": 10 ** 5, "lemma_spot_cases": 10 ** 4}
+    INT_MOST = {"lemma_random_sets": 10 ** 5, "lemma_spot_cases": 10 ** 4,
+                "seed": 2 ** 64 - 1}
 
     def __post_init__(self):
         for name, least in self.INT_FIELDS.items():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -49,7 +50,6 @@ _EIG_TOL = -1e-10
 _CLIP_WARN = 1e-8
 _BAND_TOL = 1e-13  # circulant weight share a noise channel may leave undrawn
 _CLIP_FAIL = 1e-3
-_SLAB_BYTES = 1 << 20  # circulant noise per synthesis slab
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,13 @@ class SamplePath:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2 ** 64 - 1),
-                                                     stream & (2 ** 64 - 1)]))
+    """Philox keyed by the 64-bit words (seed, stream).  A word outside
+    [0, 2^64) is refused rather than wrapped; the key array is uint64
+    because a list holding a word >= 2^63 would become float64."""
+    for name, v in (("seed", seed), ("stream", stream)):
+        if not 0 <= operator.index(v) < 2 ** 64:
+            raise ParameterError(f"{name} must lie in [0, 2^64), got {v}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
 
 
 def next_fast_len(n: int) -> int:
@@ -315,42 +320,33 @@ class CirculantSampler(_Sampler):
 
     def sample_batch(self, seed: int, streams) -> np.ndarray:
         """Stream s draws min(2 K_c - 1, L) normals per channel c from its
-        own Philox key, channel 0 first; slabs of about _SLAB_BYTES of
-        half-spectrum bound the working set for any n."""
+        own Philox key, channel 0 first.  Paths are synthesized one at a
+        time in one reused half-spectrum, so a call's scratch is one path's
+        spectrum whatever the batch size."""
         L, K = self.L, max(self.kept_bins)
         draws = [min(2 * k - 1, L) for k in self.kept_bins]
         fac = self._fac
         # the diagonal factors are real: a real scale, as for a diagonal G_k
-        f00, f11 = fac[0, 0].real, fac[1, 1].real
+        f00, f01, f10, f11 = fac[0, 0].real, fac[0, 1], fac[1, 0], fac[1, 1].real
         out = np.empty((len(streams), 2, self.grid.n))
-        per = max(1, _SLAB_BYTES // (32 * (L // 2 + 1)))
-        # bins from K up are never written, so they stay zero in every slab
-        W = np.zeros((min(per, len(streams)), 2, L // 2 + 1), complex)
+        # bins from K up are never written, so they stay zero for every path
+        W = np.zeros((2, L // 2 + 1), complex)
         re_im = W.view(float)
-        cross = np.empty((2, K), complex)
-        for a in range(0, len(streams), per):
-            slab = streams[a:a + per]
-            Wk = W[:len(slab), :, :K]
+        z0, z1 = W[0, :K], W[1, :K]
+        full = np.empty((2, L))
+        for i, s in enumerate(streams):
             # normals fill re/im slots 1..draws[c]: bin 0's imaginary slot
             # (copied to its real slot below), then the rest in order; the
             # slots left below bin K are zeroed, among them an even L's
             # Nyquist imaginary slot
-            for i, s in enumerate(slab):
-                rng = _rng(seed, s)
-                for c, d in enumerate(draws):
-                    rng.standard_normal(out=re_im[i, c, 1:d + 1])
+            rng = _rng(seed, s)
             for c, d in enumerate(draws):
-                re_im[:len(slab), c, d + 1:2 * K] = 0.0
-            Wk.real[..., 0] = Wk.imag[..., 0]
-            # mix the two channels in place, one path at a time
-            for z0, z1 in Wk:
-                np.multiply(fac[0, 1], z1, out=cross[0])
-                np.multiply(fac[1, 0], z0, out=cross[1])
-                z0 *= f00
-                z0 += cross[0]
-                z1 *= f11
-                z1 += cross[1]
-            out[a:a + per] = np.fft.irfft(W[:len(slab)], n=L, axis=-1)[..., :self.grid.n]
+                rng.standard_normal(out=re_im[c, 1:d + 1])
+                re_im[c, d + 1:2 * K] = 0.0
+            W.real[:, 0] = W.imag[:, 0]
+            # both mixed channels are computed before either is written
+            z0[:], z1[:] = f00 * z0 + f01 * z1, f10 * z0 + f11 * z1
+            out[i] = np.fft.irfft(W, n=L, out=full)[:, :self.grid.n]
         return out
 
 

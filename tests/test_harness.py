@@ -600,13 +600,13 @@ class TestPathExport:
             assert path.meta["embedding_length"] == sampler.L
             assert path.meta["model"] == sampler.sample(cfg.seed, s).meta["model"]
             ref = sampler.sample(cfg.seed, s)
-            assert np.array_equal(path.x1, ref.x1)
-            assert np.array_equal(path.x2, ref.x2)
+            assert path.x1.tobytes() == ref.x1.tobytes()
+            assert path.x2.tobytes() == ref.x2.tobytes()
             # the shorter horizon's file is the prefix of the same path
             short = load_path_csv(str(tmp_path / "paths" / f"path_T10_{s:05d}.csv"))
             assert short.meta == path.meta
-            assert np.array_equal(short.x1, ref.x1[:501])
-            assert np.array_equal(short.x2, ref.x2[:501])
+            assert short.x1.tobytes() == ref.x1[:501].tobytes()
+            assert short.x2.tobytes() == ref.x2[:501].tobytes()
             assert np.allclose(short.times(), ref.times()[:501], rtol=0, atol=1e-12)
 
     def test_paths_taken_by_a_file_exits_2_before_the_run(self, tmp_path,
@@ -762,6 +762,7 @@ class TestCli:
          "lemma_random_sets must be <= 100000,"),
         ("variance", {"lemma_spot_cases": 10 ** 9},
          "lemma_spot_cases must be <= 10000,"),
+        ("simulate", {"seed": 2 ** 64}, "seed must be <= 18446744073709551615,"),
     ])
     def test_counts_above_their_bounds_exit_2_first(self, tmp_path, monkeypatch,
                                                      capsys, command, fields,
@@ -788,6 +789,19 @@ class TestCli:
         small_cfg(replications=10 ** 6)
         small_cfg(replications=200_000, epsilon_ladder=[0.4, 0.2, 0.1, 0.05])
         small_cfg(lemma_random_sets=10 ** 5, lemma_spot_cases=10 ** 4)
+        small_cfg(seed=2 ** 64 - 1)
+
+    def test_seed_override_above_64_bits_exits_2(self, tmp_path, capsys):
+        # --seed is bounded like the file's seed: 2^64 would key seed 0
+        from windlab import cli
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(small_cfg().to_json())
+        assert cli.main(["simulate", "--config", str(cfg_file), "--seed",
+                         str(2 ** 64), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: seed must be <= 18446744073709551615, "
+                       "got 18446744073709551616\n")
+        assert not (tmp_path / "out").exists()
 
     def test_point_cap_message_is_short(self, tmp_path, capsys):
         # T = 1e300 at dt = 0.01 is a grid of 1e302 points, printed as such

@@ -35,29 +35,70 @@ class TestReproducibility:
         for make in (CirculantSampler, CholeskySampler):
             a = make(iid_bf, grid).sample(99, stream=3)
             b = make(iid_bf, grid).sample(99, stream=3)
-            assert np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)
+            assert a.x1.tobytes() == b.x1.tobytes() and a.x2.tobytes() == b.x2.tobytes()
             c = make(iid_bf, grid).sample(99, stream=4)
             assert not np.array_equal(a.x2, c.x2)
 
-    def test_batch_matches_single(self, regression03, monkeypatch):
+    def test_batch_matches_single(self, iid_bf, ou_bf, regression03, alpha12):
+        # a path does not depend on its batch: bytes, so that a -0.0 in
+        # place of 0.0 would show
         grid = GridSpec.from_dt(5.0, 0.02)
-        s = CirculantSampler(regression03, grid)
-        batch = s.sample_batch(7, [0, 1, 2])
-        for i in range(3):
-            p = s.sample(7, i)
-            assert np.array_equal(batch[i, 0], p.x1)
-            assert np.array_equal(batch[i, 1], p.x2)
-        # synthesis slabs of two streams: [0, 1] and [2]
-        monkeypatch.setattr(pathgen, "_SLAB_BYTES", 2 * 32 * (s.L // 2 + 1))
-        assert np.array_equal(s.sample_batch(7, [0, 1, 2]), batch)
+        for model in (iid_bf, ou_bf, regression03, alpha12):
+            s = CirculantSampler(model, grid)
+            singles = [s.sample(7, i) for i in range(40)]
+            for size in (1, 3, 40):
+                batch = s.sample_batch(7, range(size))
+                assert batch.shape == (size, 2, grid.n)
+                for row, p in zip(batch, singles):
+                    assert row[0].tobytes() == p.x1.tobytes()
+                    assert row[1].tobytes() == p.x2.tobytes()
         # the Cholesky oracle, bitwise
         other = CholeskySampler(regression03, grid)
         batch = other.sample_batch(7, [2, 0, 1])
         assert batch.shape == (3, 2, grid.n)
         for i, k in enumerate([2, 0, 1]):
             p = other.sample(7, k)
-            assert np.array_equal(batch[i, 0], p.x1)
-            assert np.array_equal(batch[i, 1], p.x2)
+            assert batch[i, 0].tobytes() == p.x1.tobytes()
+            assert batch[i, 1].tobytes() == p.x2.tobytes()
+
+    def test_rng_keys_are_two_64_bit_words(self):
+        # a word outside [0, 2^64) is refused rather than wrapped: seed
+        # 2^64 would draw seed 0's paths
+        for seed, stream in ((2 ** 64, 3), (-1, 3), (0, 2 ** 64), (0, -1)):
+            with pytest.raises(ParameterError):
+                pathgen._rng(seed, stream)
+        with pytest.raises(TypeError):
+            pathgen._rng(1.5, 0)
+        # words of 2^63 and up are keyed exactly, not rounded through a
+        # float: neighbouring seeds differ and 2^64 - 1 is not seed 0
+        seeds = [0, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1]
+        draws = {pathgen._rng(k, 3).standard_normal(4).tobytes() for k in seeds}
+        assert len(draws) == len(seeds)
+        key = pathgen._rng(2 ** 64 - 1, 2 ** 63 + 1).bit_generator.state["state"]["key"]
+        assert [int(w) for w in key] == [2 ** 64 - 1, 2 ** 63 + 1]
+        # below 2^63 the key is the one a plain list gives
+        for seed, stream in ((0, 0), (5, 39), (2 ** 63 - 1, 7)):
+            plain = np.random.Generator(np.random.Philox(key=[seed, stream]))
+            assert (pathgen._rng(seed, stream).standard_normal(4).tobytes()
+                    == plain.standard_normal(4).tobytes())
+
+    def test_scratch_does_not_grow_with_the_batch(self, alpha12):
+        # every path is synthesized in one reused half-spectrum: beyond its
+        # output, a 52-path call allocates what a 1-path call does
+        import tracemalloc
+        s = CirculantSampler(alpha12, GridSpec(T=50.0, n=5001))
+
+        def scratch(size):
+            s.sample_batch(1, range(size))  # warm up numpy's FFT plan cache
+            tracemalloc.start()
+            try:
+                out = s.sample_batch(1, range(size))
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        one, many = scratch(1), scratch(52)
+        assert many <= one + (64 << 10), (one, many)
 
 
 class TestCholesky:
@@ -299,11 +340,11 @@ class TestCirculant:
         # embedding, also at T = 50, past Bargmann-Fock's support
         for s in (alpha, ou):
             assert s.L == pathgen.next_fast_len(2 * (n - 1) * s.pad)
-        assert np.array_equal(alpha.sample_batch(4, [0, 5, 2]),
-                              self._full_draw(alpha, 4, [0, 5, 2]))
+        assert (alpha.sample_batch(4, [0, 5, 2]).tobytes()
+                == self._full_draw(alpha, 4, [0, 5, 2]).tobytes())
         assert ou.kept_bins[1] < ou.kept_bins[0] == ou.L // 2 + 1
-        assert np.array_equal(ou.sample_batch(4, [0, 5, 2])[:, 0],
-                              self._full_draw(ou, 4, [0, 5, 2])[:, 0])
+        assert (ou.sample_batch(4, [0, 5, 2])[:, 0].tobytes()
+                == self._full_draw(ou, 4, [0, 5, 2])[:, 0].tobytes())
 
     @pytest.mark.parametrize("name", ["iid_bf", "regression03"])
     def test_band_limited_lag_covariance(self, name, request):
