@@ -93,14 +93,28 @@ class SamplePath:
         return self.grid.times()
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox keyed by the 64-bit words (seed, stream).  A word outside
-    [0, 2^64) is refused rather than wrapped; the key array is uint64
-    because a list holding a word >= 2^63 would become float64."""
+def _rng(seed: int, stream: int, rng=None) -> np.random.Generator:
+    """Philox keyed by the 64-bit words (seed, stream), at counter 0.  A
+    word outside [0, 2^64) is refused rather than wrapped; the key array is
+    uint64 because a list holding a word >= 2^63 would become float64.
+
+    ``rng``, a generator this function returned, is re-keyed in place and
+    returned: it then draws what a new one would, without the OS-entropy
+    seed sequence that ``Philox(key=...)`` builds and throws away."""
     for name, v in (("seed", seed), ("stream", stream)):
         if not 0 <= operator.index(v) < 2 ** 64:
             raise ParameterError(f"{name} must lie in [0, 2^64), got {v}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
+    key = np.array([seed, stream], np.uint64)
+    if rng is None:
+        # np.random.Generator is looked up at call time: the benchmark
+        # tracer (perfbench/tracer.py) counts normals by replacing it
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def next_fast_len(n: int) -> int:
@@ -196,8 +210,10 @@ class CholeskySampler(_Sampler):
     def sample_batch(self, seed: int, streams) -> np.ndarray:
         n = self.grid.n
         out = np.empty((len(streams), 2, n))
+        rng = None  # one generator per call, re-keyed per stream
         for i, s in enumerate(streams):
-            out[i] = (self._chol @ _rng(seed, s).standard_normal(2 * n)).reshape(2, n)
+            rng = _rng(seed, s, rng)
+            out[i] = (self._chol @ rng.standard_normal(2 * n)).reshape(2, n)
         return out
 
     @property
@@ -334,12 +350,13 @@ class CirculantSampler(_Sampler):
         re_im = W.view(float)
         z0, z1 = W[0, :K], W[1, :K]
         full = np.empty((2, L))
+        rng = None  # one generator per call, re-keyed per stream
         for i, s in enumerate(streams):
             # normals fill re/im slots 1..draws[c]: bin 0's imaginary slot
             # (copied to its real slot below), then the rest in order; the
             # slots left below bin K are zeroed, among them an even L's
             # Nyquist imaginary slot
-            rng = _rng(seed, s)
+            rng = _rng(seed, s, rng)
             for c, d in enumerate(draws):
                 rng.standard_normal(out=re_im[c, 1:d + 1])
                 re_im[c, d + 1:2 * K] = 0.0

@@ -1,17 +1,24 @@
 """Winding-number computation on sampled paths.
 
-Two routes are computed for every path and cross-checked: the crossing
-count (up-crossings minus down-crossings of {x2 = 0, x1 > 0}) and the
-unwrapped total argument increment.  The routes share no intermediate:
+The winding number is a crossing count: up-crossings minus down-crossings
+of {x2 = 0, x1 > 0}.  The steps where sign(x2) flips are found first, and
+x1 is interpolated linearly to x2 = 0 on those steps only.
 
-- crossings: the steps where sign(x2) flips are found first, and x1 is
-  interpolated linearly to x2 = 0 on those steps only;
-- argument: arctan2 at every grid point, differenced; only the increments
-  that jump the branch cut (|d| > pi) are shifted by 2 pi.
+The guard: any single-step angle increment (the arctan2 difference,
+wrapped into [-pi, pi]) within 1e-9 of pi aborts counting
+(AliasingError) rather than guessing the direction.  Only the steps that
+can turn by more than pi/2 are looked at: a step that keeps the signs of
+x1 and x2 stays in one closed quadrant, and one that flips x1 alone stays
+in a closed half-plane, where it turns by more than pi/2 only if its dot
+product is not positive.  The decision is the one a guard on every step
+would make.
 
-The two satisfy |delta_arg/(2 pi) - n_w| < 1 whenever the grid resolves
-the rotation; any single-step angle increment within 1e-9 of pi aborts
-counting (AliasingError) rather than guessing the direction.
+The identity: once every step turns by less than pi, the wrapped steps
+sum to delta_arg = theta_end - theta_start + 2 pi (signed passes across
+arctan2's branch cut), and the passes happen on x2 flips only.  So
+|delta_arg/(2 pi) - n_w| < 1 holds on every counted path, and
+``WindingResult.agreement`` records that it did; an independent argument
+route lives in the tests (c07 and the dense reference).
 
 Ties: a grid value x2 == 0 counts as positive (sign(0) = +), a
 probability-zero event under the continuous law but reachable from
@@ -40,6 +47,7 @@ __all__ = [
 ]
 
 _ALIAS_GUARD = math.pi - 1e-9
+_ZERO_ULPS = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,19 @@ class WindingResult:
     agreement: bool
 
 
+def _crossings(x1: np.ndarray, x2: np.ndarray, i: np.ndarray):
+    """Step index and sign (+1 up, -1 down) of each crossing of
+    {x2 = 0, x1 > 0} among the steps ``i`` of a counted path (x2 zeroed,
+    origin hits moved), ``i`` being the steps where sign(x2) flips.  x1
+    is interpolated linearly to x2 = 0 on those steps only; there
+    a >= 0 > b or a < 0 <= b, so a - b is never 0."""
+    j = i + 1
+    a, b = x2[i], x2[j]
+    xa = x1[i]
+    right = xa + (a / (a - b)) * (x1[j] - xa) > 0.0
+    return i[right], np.where(a[right] < 0.0, 1, -1)
+
+
 def count_windings_arrays(x1: np.ndarray, x2: np.ndarray) -> WindingResult:
     """Count on raw coordinate arrays (shared by SamplePath and CSV input).
     The inputs are never modified."""
@@ -59,14 +80,15 @@ def count_windings_arrays(x1: np.ndarray, x2: np.ndarray) -> WindingResult:
     if x1.shape != x2.shape or x1.ndim != 1 or x1.size < 2:
         raise ParameterError("need two 1-d coordinate arrays with >= 2 points")
     # a NaN or an infinity shows in the extremes (NaN propagates)
-    hi2, lo2 = x2.max(), x2.min()
-    if not all(map(math.isfinite, (x1.max(), x1.min(), hi2, lo2))):
+    ax2 = np.abs(x2)
+    top = float(ax2.max())
+    if not all(map(math.isfinite, (x1.max(), x1.min(), top))):
         raise ParameterError("path coordinates must be finite")
     # values within a few ulps of zero are zero: the sign(0) = + convention
     # applied at floating-point resolution (matters only for analytic test
     # paths whose zeros land on grid points up to rounding)
-    tiny = 8.0 * np.finfo(float).eps * float(max(hi2, -lo2))
-    near = np.flatnonzero(np.abs(x2) <= tiny)  # the zeros of x2 once zeroed
+    tiny = _ZERO_ULPS * top
+    near = (ax2 <= tiny).nonzero()[0]  # the zeros of x2 once zeroed
     if near.size:
         if tiny > 0.0:
             x2 = x2.copy()
@@ -78,29 +100,40 @@ def count_windings_arrays(x1: np.ndarray, x2: np.ndarray) -> WindingResult:
             x1 = x1.copy()
             x1[at_origin] = 1e-12
 
-    # crossing route: interpolate x1 at the sign flips only; a >= 0 > b or
-    # a < 0 <= b, so a - b is never 0 there
-    s = x2 >= 0.0  # sign(0) = + convention
-    i = np.flatnonzero(s[:-1] != s[1:])
-    a, b = x2[i], x2[i + 1]
-    xa = x1[i]
-    right = xa + (a / (a - b)) * (x1[i + 1] - xa) > 0.0
-    upward = a < 0.0
-    n_up = int(np.count_nonzero(right & upward))
-    n_down = int(np.count_nonzero(right & ~upward))
+    s1, s2 = x1 >= 0.0, x2 >= 0.0  # sign(0) = +
+    f1, f2 = s1[:-1] != s1[1:], s2[:-1] != s2[1:]
+    flips = f2.nonzero()[0]
+    sign = _crossings(x1, x2, flips)[1]
+    n_up = int(np.count_nonzero(sign > 0))
+    n_down = sign.size - n_up
 
-    # argument route, independent of the first: per-point angles whose
-    # increments are wrapped into [-pi, pi] where they jump the branch cut
-    d = np.diff(np.arctan2(x2, x1))  # frees the angles at once: a lower peak
-    # (a step of exactly +-pi is left as it is: the guard refuses it anyway)
-    j = np.flatnonzero(np.abs(d) > math.pi)
-    d[j] -= np.copysign(2.0 * math.pi, d[j])
-    worst = float(max(d.max(), -d.min()))
+    # the guard, on the steps that can turn by more than pi/2: a step that
+    # keeps both signs stays in one closed quadrant; one that flips x1 alone
+    # stays in a closed half-plane and turns by more than pi/2 only where
+    # its dot product is not positive (or overflows)
+    half = (f1 > f2).nonzero()[0]
+    h = half + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = half[~(x1[half] * x1[h] + x2[half] * x2[h] > 0.0)]
+    i = np.concatenate((flips, half))
+    # theta of x2 + 0.0 puts a signed zero on the side sign(0) = + gives
+    # it, so that only the x2 flips can pass arctan2's branch cut; the
+    # path's two ends come last
+    e = np.concatenate((i, i + 1, (0, -1)))
+    theta = np.arctan2(x2[e] + 0.0, x1[e])
+    d = theta[i.size:-2] - theta[:i.size]
+    ad = np.abs(d)
+    # the wrapped step's size; a step of exactly +-pi keeps it
+    worst = float(np.minimum(ad, 2.0 * math.pi - ad).max(initial=0.0))
     if worst > _ALIAS_GUARD:
         raise AliasingError(
             f"angle step {worst:.6f} within guard of pi: grid too coarse "
             "relative to the rotation speed")
-    delta_arg = float(d.sum())
+    # the wrapped steps telescope: theta's end-to-end change plus 2 pi per
+    # counterclockwise pass across the cut (a step below -pi), less 2 pi
+    # per clockwise one
+    passes = int(np.count_nonzero(d < -math.pi)) - int(np.count_nonzero(d > math.pi))
+    delta_arg = float(theta[-1] - theta[-2]) + 2.0 * math.pi * passes
     n_w = n_up - n_down
     return WindingResult(
         n_up=n_up, n_down=n_down, n_w=n_w, delta_arg=delta_arg,

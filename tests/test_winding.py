@@ -290,9 +290,8 @@ def _assert_same_as_reference(x1, x2):
     assert not isinstance(got, tuple), got
     for f in ("n_up", "n_down", "n_w", "agreement"):
         assert getattr(got, f) == getattr(ref, f), f
-    assert (got.delta_arg == ref.delta_arg
-            or (math.isnan(got.delta_arg) and math.isnan(ref.delta_arg)))
-    assert math.copysign(1.0, got.delta_arg) == math.copysign(1.0, ref.delta_arg)
+    # the counter telescopes the steps the reference sums one by one
+    assert abs(got.delta_arg - ref.delta_arg) <= 1e-12 * (1.0 + abs(ref.delta_arg))
 
 
 def _sampled_paths():
@@ -320,7 +319,7 @@ def _edge_cases():
         (one, np.array([0.5, -0.0, -0.5, -0.0, 0.5, -0.5])),    # -0.0 entries
         (-one, np.array([0.5, -0.0, -0.5, -0.0, 0.5, -0.5])),
         (one, np.zeros(6)),                                      # all-zero x2
-        (np.ones(2), np.array([0.0, -0.0])),                    # delta_arg -0.0
+        (np.ones(2), np.array([0.0, -0.0])),                    # a signed zero at the end
         (-one, -np.zeros(6)),
         (np.array([1.0, -1.0, 1.0]), np.zeros(3)),
         (np.zeros(4), np.zeros(4)),                              # all at the origin
@@ -355,6 +354,22 @@ def _edge_cases():
             for start in (0.0, 0.3, math.pi / 2, math.pi, -math.pi / 2):
                 ang = np.array([start, start + sign * theta, start])
                 cases.append((np.cos(ang), np.sin(ang)))
+    # the same near-pi steps, each turning from just off one half of the
+    # x1 axis to just off the other: they flip x1 alone, or x1 and x2
+    for theta in (math.pi - 1e-9 - 1e-12, math.pi - 1e-9, math.pi - 1e-9 + 1e-12):
+        for sign in (1.0, -1.0):
+            for start in (5e-10, -5e-10, math.pi - 5e-10, -math.pi + 5e-10):
+                ang = np.array([start, start + sign * theta, start])
+                cases.append((np.cos(ang), np.sin(ang)))
+    # steps onto and off a point of each half-axis given as +0.0 or -0.0,
+    # either way round; x2 of 5e-324 leaves the threshold at 0, so that a
+    # -0.0 in x2 is kept rather than zeroed
+    for z in (0.0, -0.0):
+        for c in (1.0, -1.0):
+            for x2 in ([0.5, z, -0.5], [5e-324, z, -5e-324]):
+                cases += [(np.full(3, c), np.array(x2)), (np.full(3, c), np.array(x2[::-1]))]
+            cases += [(np.array([0.5, z, -0.5]), np.full(3, c)),
+                      (np.array([-0.5, z, 0.5]), np.full(3, c))]
     rng = np.random.default_rng(2718)
     pool = np.array([0.0, -0.0, 1.0, -1.0, 2 * eps, -2 * eps, 1e-12, -1e-12, 3.0])
     for _ in range(240):
@@ -384,6 +399,27 @@ class TestDenseReference:
         got, warns = _outcome(count_windings_arrays, x1, x2)
         ref, ref_warns = _outcome(_dense_reference, x1, x2)
         assert got == ref and (warns, ref_warns) == (0, 2)
+
+    def test_arctan2_runs_on_under_one_percent_of_the_points(self, iid_bf,
+                                                             monkeypatch):
+        # the guard takes angles only on the steps that may turn by more
+        # than pi/2 or pass the branch cut: on an iid Bargmann-Fock path at
+        # T = 200 (n = 20001), the x2 flips and a few more
+        x1, x2 = CirculantSampler(iid_bf, GridSpec.from_dt(200.0, 0.01)).sample_batch(
+            41, [0])[0]
+        want = _dense_reference(x1, x2)
+        seen = []
+        arctan2 = np.arctan2
+
+        def counted(y, x, *args, **kwargs):
+            seen.append(np.size(y))
+            return arctan2(y, x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arctan2", counted)
+        got = count_windings_arrays(x1, x2)
+        assert 0 < sum(seen) < 0.01 * x1.size
+        assert (got.n_up, got.n_down, got.n_w) == (want.n_up, want.n_down, want.n_w)
+        assert got.n_up + got.n_down > 0
 
     def test_corpus_reaches_every_branch(self):
         outcomes = [_outcome(count_windings_arrays, x1, x2)
